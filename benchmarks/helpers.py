@@ -20,19 +20,14 @@ def env_metadata() -> dict:
     """The execution environment facts a perf number is meaningless without.
 
     Recorded into every ``emit_json`` payload: cpu count (morsel scaling
-    depends on it), numpy presence/version (the vectorized backend), and
+    depends on it), numpy version (the array backend), and
     PYTHONHASHSEED (hash randomization perturbs dict-heavy paths).
     """
-    try:
-        import numpy
-        numpy_version = numpy.__version__
-    except ImportError:
-        numpy_version = None
-    if os.environ.get("REPRO_NO_NUMPY"):
-        numpy_version = None
+    import numpy
+
     return {
         "cpu_count": os.cpu_count(),
-        "numpy": numpy_version,
+        "numpy": numpy.__version__,
         "pythonhashseed": os.environ.get("PYTHONHASHSEED"),
     }
 

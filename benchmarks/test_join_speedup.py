@@ -1,12 +1,12 @@
 """Compiled id-space join execution vs the term-space interpreter.
 
-The engine's default execution path compiles ordered BGPs to id-space
-plans (repro.sparql.compiler): constants are encoded once at compile
-time, bindings flow as flat integer register rows probing the triple
-index's permutation maps directly, and terms are decoded only at the
-projection boundary.  The term-space interpreter — still the fallback
-for property paths and multi-graph unions — re-encodes and re-decodes
-every term at every extension step.
+The engine's default execution path lowers WHERE bodies to id-space
+operator plans (repro.sparql.operators): constants are encoded once at
+compile time, bindings flow as flat integer register rows probing the
+triple index's sorted runs directly, and terms are decoded only at the
+projection boundary.  The term-space interpreter — the ``compile=False``
+oracle and the fallback for multi-graph unions — re-encodes and
+re-decodes every term at every extension step.
 
 This benchmark times the dimension-chain join workload (the shape behind
 every REOLAP candidate and refinement query) on the mid-size synthetic

@@ -8,7 +8,7 @@ peculiarity.  This module provides those capabilities over an executed
 OLAP query's results:
 
 * :func:`column_statistics` — the moments of an aggregate column
-  (mean, standard deviation, skewness via scipy);
+  (mean, standard deviation, skewness);
 * :func:`outlier_rows` — rows whose aggregate value deviates by more than
   ``z`` standard deviations;
 * :func:`anchor_position` — where the user's example sits in the
@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from ..rdf.terms import Literal
 from ..sparql.results import ResultSet
@@ -93,6 +92,22 @@ def _column_values(results: ResultSet, column: str) -> np.ndarray:
     return np.array(values, dtype=float)
 
 
+def _skewness(values: np.ndarray) -> float:
+    """Biased Fisher–Pearson sample skewness, ``m3 / m2**1.5``.
+
+    0.0 below three values; NaN when the values are constant up to
+    rounding, where the ratio is undefined (``is_skewed`` is then False).
+    """
+    if values.size < 3:
+        return 0.0
+    mean = values.mean()
+    deviations = values - mean
+    m2 = float(np.mean(deviations**2))
+    if m2 <= (np.finfo(float).eps * mean) ** 2:
+        return float("nan")
+    return float(np.mean(deviations**3)) / m2**1.5
+
+
 def column_statistics(results: ResultSet, column: str) -> ColumnStatistics:
     """Moments of one numeric result column.
 
@@ -101,7 +116,6 @@ def column_statistics(results: ResultSet, column: str) -> ColumnStatistics:
     values = _column_values(results, column)
     if values.size == 0:
         raise ValueError(f"column {column!r} holds no numeric values")
-    skewness = float(scipy_stats.skew(values)) if values.size > 2 else 0.0
     return ColumnStatistics(
         column=column,
         count=int(values.size),
@@ -109,7 +123,7 @@ def column_statistics(results: ResultSet, column: str) -> ColumnStatistics:
         std=float(values.std()),
         minimum=float(values.min()),
         maximum=float(values.max()),
-        skewness=skewness,
+        skewness=_skewness(values),
     )
 
 

@@ -42,7 +42,6 @@ from .ast import (
 from .aggregator import AggregatePlan, compile_aggregate, compile_aggregate_ex
 from .batch import BatchStats, ask_bgp_batch, order_batch, simple_bgp
 from .builder import SelectBuilder, agg, path, var
-from .compiler import BGPPlan, compile_bgp
 from .eval import Evaluator, evaluate_query
 from .operators import WherePlan, compile_where
 from .explain import PlanStep, QueryPlan, explain
@@ -54,8 +53,6 @@ __all__ = [
     "parse_query",
     "Evaluator",
     "evaluate_query",
-    "BGPPlan",
-    "compile_bgp",
     "WherePlan",
     "compile_where",
     "AggregatePlan",

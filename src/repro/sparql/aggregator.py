@@ -52,6 +52,8 @@ identity discipline as compiled WHERE plans.
 
 from __future__ import annotations
 
+import numpy as _np
+
 from ..rdf.terms import IRI, Literal, Node, Variable, XSD_INTEGER
 from .ast import (
     Aggregate,
@@ -245,8 +247,6 @@ class _Sum:
         so addition is order-free), otherwise the caller replays the
         rows in order — mid-stream switching is sound because everything
         already folded was exact."""
-        import numpy as _np  # only reached from the numpy batch path
-
         if self.errored or ids is None or not len(ids):
             return True
         if self.seen is not None:
@@ -341,8 +341,6 @@ class _MinMax:
         sequential tie rules: MIN keeps the earliest minimal value, MAX
         the latest maximal one.  DISTINCT ties depend on global first
         occurrences, so that mode replays rows instead."""
-        import numpy as _np
-
         if ids is None or not len(ids):
             return True
         if self.seen is not None:
@@ -427,8 +425,6 @@ class _GroupConcat:
     def add_batch(self, ids, total, state) -> bool:
         """String concatenation stays a row loop, but over a per-batch
         decoded string table (one decode per distinct id)."""
-        import numpy as _np
-
         if self.errored or ids is None or not len(ids):
             return True
         string = self.state.string
@@ -768,17 +764,16 @@ class AggregatePlan:
     def _fold_batched(self, deadline, vec, groups) -> "_ExecState":
         """Consume batched body execution, folding whole column segments.
 
-        Single-key (or keyless) grouping with numpy partitions each
-        batch by key id — groups are created in first-occurrence order,
-        matching the streaming dict — and feeds each accumulator its
-        bound-id segment in row order.  Multi-key grouping, list-backed
-        columns and the no-numpy backend fold row-wise straight from the
-        batch columns instead (still batch-produced upstream).
+        Single-key (or keyless) grouping partitions each batch by key
+        id — groups are created in first-occurrence order, matching the
+        streaming dict — and feeds each accumulator its bound-id segment
+        in row order.  Multi-key grouping folds row-wise straight from
+        the batch columns instead (still batch-produced upstream).
 
         Builds (and returns) the decode state over the batch run's own
         execution context, so ids minted during the run decode.
         """
-        from .vectorized import UNBOUND, _VecCtx, _np, collect_batches
+        from .vectorized import UNBOUND, _VecCtx, collect_batches
 
         vctx = _VecCtx(self.body, deadline, vec)
         state = _ExecState(vctx.tctx.decode)
@@ -786,13 +781,7 @@ class AggregatePlan:
         key_slots = self.key_slots
         for batch in collect_batches(self.body, deadline, vec, vctx):
             check()
-            fast = _np is not None and len(key_slots) <= 1
-            if fast:
-                for col in batch.cols:
-                    if isinstance(col, list):
-                        fast = False
-                        break
-            if not fast:
+            if len(key_slots) > 1:
                 self._fold_batch_rows(batch, state, groups, check)
                 continue
             col = None
@@ -852,12 +841,7 @@ class AggregatePlan:
         lists = {}
         for slot in needed:
             col = batch.cols[slot]
-            if col is None:
-                lists[slot] = None
-            elif isinstance(col, list):
-                lists[slot] = col
-            else:
-                lists[slot] = col.tolist()
+            lists[slot] = None if col is None else col.tolist()
 
         def cell(slot, i):
             vals = lists[slot]

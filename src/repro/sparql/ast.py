@@ -466,11 +466,29 @@ GroupElement = Union[
 ]
 
 
+#: Element classes in the order every engine evaluates a group's parts.
+_EVALUATION_ORDER = (
+    ValuesClause, SubSelect, TriplePattern, Filter, UnionPattern,
+    OptionalPattern, BindClause, ExistsFilter, MinusPattern,
+)
+
+
 @dataclass(frozen=True)
 class GroupGraphPattern:
     """The body of a WHERE clause: an ordered list of group elements."""
 
     elements: tuple[GroupElement, ...] = ()
+
+    def partition(self) -> tuple[list, ...]:
+        """The elements split by class, each list in source order.
+
+        Returns ``(values, subselects, patterns, filters, unions,
+        optionals, binds, exists_filters, minus_patterns)``.
+        """
+        parts = {cls: [] for cls in _EVALUATION_ORDER}
+        for element in self.elements:
+            parts[type(element)].append(element)
+        return tuple(parts.values())
 
     def to_sparql(self, indent: str = "  ") -> str:
         if not self.elements:

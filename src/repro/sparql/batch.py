@@ -4,11 +4,13 @@ REOLAP validates every candidate query by probing whether its WHERE clause
 has at least one solution (Section 5.3).  Sibling candidates differ in a
 few grouping levels but share most of their anchored patterns, so checking
 them one ASK at a time re-joins the same prefix over and over.  This
-module compiles each candidate BGP to id-space steps (:mod:`.compiler`)
-and merges the step sequences into a **prefix trie**: two candidates whose
-ordered patterns agree on a prefix produce byte-identical step tuples
-(constants are ids, variables are first-occurrence register slots), so
-they share trie nodes and the shared prefix is evaluated once per batch.
+module lowers each candidate BGP to id-space steps — the same per-pattern
+lowering ``compile_where`` uses (:mod:`.operators`), at a dictionary
+lookup per constant — and merges the step sequences into a **prefix
+trie**: two candidates whose ordered patterns agree on a prefix produce
+identical step tuples (constants are ids, variables are first-occurrence
+register slots), so they share trie nodes and the shared prefix is
+evaluated once per batch.
 
 A single depth-first walk over the trie answers every candidate: a row of
 register bindings that survives to a leaf proves that candidate non-empty,
@@ -21,9 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ast import GroupGraphPattern, TriplePattern
-from .compiler import compile_bgp, id_backend
+from .ast import GroupGraphPattern, PropertyPath, TriplePattern
 from .eval import _Deadline
+from .operators import _Lowering, id_backend
 from .optimizer import estimate_cardinality, order_patterns
 
 __all__ = ["BatchStats", "ask_bgp_batch", "order_batch", "simple_bgp"]
@@ -109,36 +111,45 @@ def ask_bgp_batch(
     """Existence-check many *ordered* BGPs against one graph, at once.
 
     Returns one verdict per input BGP: True/False when the batch engine
-    decided it, None when that BGP cannot be compiled (no id backend,
-    property-path predicate) and the caller must fall back to a normal
-    ASK.  Raises :class:`~repro.errors.QueryTimeoutError` when the shared
-    walk exceeds ``timeout`` seconds.
+    decided it, None when that BGP has no flat step lowering (no id
+    backend, property-path predicate, no patterns) and the caller must
+    fall back to a normal ASK.  Raises
+    :class:`~repro.errors.QueryTimeoutError` when the shared walk exceeds
+    ``timeout`` seconds.
     """
     stats = BatchStats()
     results: list[bool | None] = [None] * len(bgps)
-    if id_backend(graph) is None:
+    backend = id_backend(graph)
+    if backend is None:
         return results, stats
+    dictionary, triple_index = backend
 
     root = _TrieNode()
     width = 0
     for index, patterns in enumerate(bgps):
-        plan = compile_bgp(graph, patterns)
-        if plan is None:
-            continue  # caller falls back to the interpreter
-        if plan.empty:
-            results[index] = False  # an unseen constant: provably empty
-            continue
+        if not patterns or any(isinstance(p.p, PropertyPath) for p in patterns):
+            continue  # caller falls back to a normal ASK
+        # One register allocation per candidate, so equal prefixes lower
+        # to equal (step, eqs) keys whatever follows them.
+        lowering = _Lowering(graph, dictionary, triple_index, optimize=False)
+        keys = []
+        for pattern in patterns:
+            key = lowering.lower_step(pattern)
+            if key is None:
+                break
+            keys.append(key)
         results[index] = False  # pending; flipped by the walk
+        if len(keys) < len(patterns):
+            continue  # a never-stored constant: provably empty
         stats.candidates += 1
-        stats.total_steps += len(plan.steps)
-        width = max(width, plan.num_registers)
+        stats.total_steps += len(keys)
+        width = max(width, lowering.num_registers)
         node = root
         node.subtree.append(index)
         # Keyed on (step, eqs): a repeated-variable step (?x <p> ?x) has
         # the same positional tuple as a plain two-variable step, so the
         # equality pairs must be part of the node identity.
-        for step, eqs in zip(plan.steps, plan.step_eqs):
-            key = (step, eqs)
+        for key in keys:
             child = node.children.get(key)
             if child is None:
                 child = _TrieNode()
@@ -149,19 +160,18 @@ def ask_bgp_batch(
         node.leaves.append(index)
 
     if stats.candidates:
-        _walk(graph, root, [None] * width, results, _Deadline(timeout))
+        _walk(triple_index, root, [None] * width, results, _Deadline(timeout))
         stats.probes = _sum_probes(root)
     return results, stats
 
 
-def _walk(graph, root: _TrieNode, row: list, results: list, deadline) -> None:
+def _walk(index, root: _TrieNode, row: list, results: list, deadline) -> None:
     """One DFS over the trie proving candidates non-empty as rows survive.
 
     The row is a shared register file: step tuples encode their register
     slots, and two candidates only share a node when their slot layouts
     agree on the whole prefix, so a single row serves every branch.
     """
-    _, index = id_backend(graph)
     match = index.match
     check = deadline.check
 

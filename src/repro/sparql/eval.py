@@ -28,30 +28,23 @@ from .ast import (
     Aggregate,
     Arithmetic,
     AskQuery,
-    BindClause,
     BoolOp,
     Comparison,
-    ExistsFilter,
     Expression,
     Filter,
     FunctionCall,
     GroupGraphPattern,
     InExpr,
-    MinusPattern,
     NotExpr,
-    OptionalPattern,
     OrderCondition,
     Projection,
     PropertyPath,
     Query,
     SelectQuery,
-    SubSelect,
     TermExpr,
     TriplePattern,
-    UnionPattern,
     ValuesClause,
 )
-from .compiler import compile_bgp
 from .expressions import ExpressionError, effective_boolean_value, evaluate
 from .operators import OrderLimit, _Directed, _sorted_top, compile_where
 from .optimizer import order_patterns
@@ -136,45 +129,11 @@ class Evaluator:
         # execution, letting the endpoint count batched vs. tuple runs.
         self.exec_counter = exec_counter
 
-    def _plan_or_order(self, patterns, available):
-        """Order a BGP and (when possible) compile it, through the plan cache.
-
-        Returns ``(ordered_patterns, plan)`` where ``plan`` is None when
-        the BGP must run on the term-space interpreter.
-        """
-        key = None
-        if self.plan_cache is not None:
-            epoch = getattr(self.graph, "epoch", None)
-            # Plans embed one graph's term-id assignment, so the key needs
-            # the graph's *identity* as well as its version: a shared cache
-            # may serve endpoints over different graphs whose epochs
-            # coincide.  Graphs without a uid are never plan-cached.
-            uid = getattr(self.graph, "uid", None)
-            if epoch is not None and uid is not None:
-                pattern_vars = set()
-                for pattern in patterns:
-                    pattern_vars |= pattern.variables()
-                key = (
-                    tuple(patterns),
-                    frozenset(available & pattern_vars),
-                    self.optimize,
-                    self.compile,
-                    uid,
-                    epoch,
-                )
-                from ..serving.cache import MISS
-
-                cached = self.plan_cache.get(key)
-                if cached is not MISS:
-                    return cached
+    def _join_order(self, patterns, available):
+        """The interpreter's join order for one BGP."""
         if self.optimize and len(patterns) > 1:
-            ordered = order_patterns(self.graph, patterns, bound=available)
-        else:
-            ordered = list(patterns)
-        plan = compile_bgp(self.graph, ordered) if self.compile else None
-        if key is not None:
-            self.plan_cache.put(key, (ordered, plan))
-        return ordered, plan
+            return order_patterns(self.graph, patterns, bound=available)
+        return list(patterns)
 
     def _aggregate_plan(self, query: SelectQuery):
         """Compile (or fetch) a fused aggregation plan.
@@ -217,8 +176,9 @@ class Evaluator:
         if self.plan_cache is not None:
             epoch = getattr(self.graph, "epoch", None)
             # Plans embed one graph's term-id assignment, so the key needs
-            # the graph's *identity* as well as its version (see
-            # _plan_or_order).
+            # the graph's *identity* as well as its version: a shared cache
+            # may serve endpoints over different graphs whose epochs
+            # coincide.  Graphs without a uid are never plan-cached.
             uid = getattr(self.graph, "uid", None)
             if epoch is not None and uid is not None:
                 key = ("where", where, self.optimize, uid, epoch)
@@ -324,24 +284,25 @@ class Evaluator:
     def ask(self, query: AskQuery | str, timeout: float | None = None) -> bool:
         """Evaluate an ASK query; returns whether any solution exists.
 
-        Groups consisting only of triple patterns and filters take a
-        backtracking fast path that stops at the first complete solution —
-        the behaviour real endpoints give ASK probes, and what keeps
-        REOLAP's per-candidate validation independent of the store size.
+        Evaluation stops at the first complete solution — the behaviour
+        real endpoints give ASK probes, and what keeps REOLAP's
+        per-candidate validation independent of the store size.  The
+        interpreter does the same for groups of only triple patterns and
+        filters, by backtracking.
         """
         if isinstance(query, str):
             query = parse_query(query)
         if not isinstance(query, AskQuery):
             raise QueryEvaluationError("ask() requires an ASK query")
         deadline = _Deadline(timeout)
-        if all(isinstance(e, (TriplePattern, Filter)) for e in query.where.elements):
-            return self._ask_exists(query.where, deadline)
         plan, _reason = self._where_plan(query.where)
         if plan is not None:
             # Lazy pipeline: stops at the first complete row.  ASK stays
             # tuple-at-a-time even with vectorize on — first-row latency
             # beats batch throughput when one row settles the answer.
             return plan.any(deadline)
+        if all(isinstance(e, (TriplePattern, Filter)) for e in query.where.elements):
+            return self._ask_exists(query.where, deadline)
         return bool(self._eval_group(query.where, [dict()], deadline, stop_at=1))
 
     def construct(self, query: "ConstructQuery | str", timeout: float | None = None):
@@ -394,10 +355,7 @@ class Evaluator:
         """Depth-first existence check over a pattern-only group."""
         patterns = group.triple_patterns()
         filters = list(group.filters())
-        if patterns:
-            patterns, plan = self._plan_or_order(patterns, set())
-            if plan is not None:
-                return plan.exists([dict()], filters, set(), deadline)
+        patterns = self._join_order(patterns, set())
 
         def search(index: int, binding: Binding, pending: list[Filter]) -> bool:
             if index == len(patterns):
@@ -445,15 +403,8 @@ class Evaluator:
         deadline: _Deadline,
         stop_at: int | None = None,
     ) -> list[Binding]:
-        values_clauses = [e for e in group.elements if isinstance(e, ValuesClause)]
-        patterns = [e for e in group.elements if isinstance(e, TriplePattern)]
-        filters = [e for e in group.elements if isinstance(e, Filter)]
-        unions = [e for e in group.elements if isinstance(e, UnionPattern)]
-        optionals = [e for e in group.elements if isinstance(e, OptionalPattern)]
-        binds = [e for e in group.elements if isinstance(e, BindClause)]
-        exists_filters = [e for e in group.elements if isinstance(e, ExistsFilter)]
-        minus_patterns = [e for e in group.elements if isinstance(e, MinusPattern)]
-        subselects = [e for e in group.elements if isinstance(e, SubSelect)]
+        (values_clauses, subselects, patterns, filters, unions, optionals,
+         binds, exists_filters, minus_patterns) = group.partition()
 
         solutions = list(initial)
         available: set[Variable] = set()
@@ -473,28 +424,18 @@ class Evaluator:
             available |= set(inner.variables)
 
         pending = list(filters)
-        if patterns:
-            patterns, plan = self._plan_or_order(patterns, available)
-            if plan is not None:
-                # Compiled id-space join: bindings flow as register files of
-                # ints, with ready filters applied at each step; decoding
-                # back to terms happens once, at the end.
-                solutions, pending = plan.run(solutions, pending, available, deadline)
-                for pattern in patterns:
-                    available |= pattern.variables()
-            else:
-                for pattern in patterns:
-                    solutions = self._extend(solutions, pattern, deadline)
-                    available |= pattern.variables()
-                    # Apply every filter whose variables are all produced
-                    # already: shrinking the intermediate result early is the
-                    # main lever the engine has against large joins.
-                    ready = [f for f in pending if f.expression.variables() <= available]
-                    if ready:
-                        pending = [f for f in pending if f not in ready]
-                        solutions = _apply_filters(solutions, ready)
-                    if not solutions:
-                        break
+        for pattern in self._join_order(patterns, available):
+            solutions = self._extend(solutions, pattern, deadline)
+            available |= pattern.variables()
+            # Apply every filter whose variables are all produced
+            # already: shrinking the intermediate result early is the
+            # main lever the engine has against large joins.
+            ready = [f for f in pending if f.expression.variables() <= available]
+            if ready:
+                pending = [f for f in pending if f not in ready]
+                solutions = _apply_filters(solutions, ready)
+            if not solutions:
+                break
         for union in unions:
             merged: list[Binding] = []
             for binding in solutions:

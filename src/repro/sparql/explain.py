@@ -81,12 +81,13 @@ class QueryPlan:
         return "\n".join(lines)
 
 
-def _pipeline_lines(pipeline, indent: str = "") -> list[str]:
+def _pipeline_lines(graph, pipeline, indent: str = "") -> list[str]:
     """Render one GroupPipeline's operators, recursing into sub-plans.
 
     Uses the pipeline's representative schedule (empty entry mask), so
     filter placement shown here is the top-level one; nested groups may
-    re-interleave filters per entry row at run time.
+    re-interleave filters per entry row at run time.  Operators over a
+    triple pattern carry the catalog's cardinality estimate for it.
     """
     if pipeline.empty:
         return [f"{indent}EmptyGroup {pipeline.empty_pattern.to_sparql()}"
@@ -97,12 +98,13 @@ def _pipeline_lines(pipeline, indent: str = "") -> list[str]:
         line = f"{indent}{op.kind}"
         if detail:
             line += f" {detail}"
-        if op.estimate is not None:
-            line += f"  [est. {op.estimate}]"
+        pattern = getattr(op, "pattern", None)
+        if pattern is not None:
+            line += f"  [est. {estimate_cardinality(graph, pattern)}]"
         lines.append(line)
         for label, child in op.children():
             lines.append(f"{indent}  {label}:")
-            lines.extend(_pipeline_lines(child, indent + "    "))
+            lines.extend(_pipeline_lines(graph, child, indent + "    "))
     return lines
 
 
@@ -116,8 +118,7 @@ def _vectorized_lines(where_plan, batch_size, parallel) -> tuple[str, ...]:
 
     info = analyze_plan(where_plan, batch_size=batch_size, parallel=parallel)
     lines = [
-        f"backend {info['backend']}; batch size {info['batch_size']}; "
-        f"parallel {info['parallel']}"
+        f"batch size {info['batch_size']}; parallel {info['parallel']}"
     ]
     if info["driver"] is None:
         lines.append("driver: (none — batches fall back per-row)")
@@ -139,7 +140,7 @@ def _compiled_tree(graph, query: SelectQuery, optimize: bool,
         plan, reason = compile_aggregate_ex(graph, query, optimize=optimize)
         if plan is None:
             return "term-space", reason, (), ()
-        lines = _pipeline_lines(plan.body.root)
+        lines = _pipeline_lines(graph, plan.body.root)
         keys = ", ".join(v.n3() for v in plan.group_vars) or "(single group)"
         lines.append(
             f"AggregateFold {len(plan.specs)} aggregates; keys {keys}"
@@ -149,7 +150,7 @@ def _compiled_tree(graph, query: SelectQuery, optimize: bool,
         plan, reason = compile_where(graph, query.where, optimize=optimize)
         if plan is None:
             return "term-space", reason, (), ()
-        lines = _pipeline_lines(plan.root)
+        lines = _pipeline_lines(graph, plan.root)
         where_plan = plan
     vec = _vectorized_lines(where_plan, batch_size, parallel)
     if query.order_by:

@@ -1,13 +1,13 @@
 """Unified id-space physical operators for SPARQL query bodies.
 
-:mod:`repro.sparql.compiler` lowers *flat* basic graph patterns into
-id-space join plans; everything else a WHERE clause can hold — OPTIONAL
-decorations, UNION'd interpretation combinations, VALUES member lists,
-``skos:broader``-style property paths — used to fall back to the
-term-space interpreter, leaving the codebase with two engines.  This
-module is the single physical plan layer that closes the gap: a small
-set of streaming operators in the classic Volcano/iterator style, all
-working over one register file of integer term ids.
+The single physical plan layer: everything a WHERE clause can hold —
+basic graph patterns, OPTIONAL decorations, UNION'd interpretation
+combinations, VALUES member lists, ``skos:broader``-style property
+paths — lowers onto a small set of streaming operators in the classic
+Volcano/iterator style, all working over one register file of integer
+term ids.  Constants are encoded once at compile time, variables get
+dense register slots, and ids are decoded back to RDF terms only at the
+result boundary, through a per-execution memo.
 
 Operator taxonomy (one class per physical operator):
 
@@ -86,18 +86,15 @@ tally.  Shapes that still decline — and why:
   program forms;
 * ``no-id-backend`` — multi-graph union views have no shared id space.
 
-BIND, FILTER [NOT] EXISTS, MINUS and subqueries used to decline too
-(reasons ``bind`` / ``exists-filter`` / ``minus`` / ``subquery``); they
-now lower onto :class:`BindOp`, :class:`ExistsJoin`, :class:`MinusJoin`
-and :class:`SubqueryScan`, so the term-space interpreter stays behind
-``compile=False`` purely as the differential oracle.  A subquery whose
-*inner* query declines (e.g. an unsupported aggregate shape) propagates
-the inner reason outward.
+A subquery whose *inner* query declines (e.g. an unsupported aggregate
+shape) propagates the inner reason outward.  The term-space interpreter
+stays behind ``compile=False`` purely as the differential oracle.
 
-A repeated variable within one pattern (``?x <p> ?x``) used to decline
-too; it now compiles by binding the second occurrence into a scratch
-register and enforcing the intra-pattern join with a register-equality
-check fused into the step (see :meth:`_Lowering._lower_step`).
+A repeated variable within one pattern (``?x <p> ?x``) binds its second
+occurrence into a scratch register and enforces the intra-pattern join
+with a register-equality check fused into the step (see
+:meth:`_Lowering.lower_step` — the one per-pattern lowering, shared with
+the batched ASK trie in :mod:`repro.sparql.batch`).
 
 Plans are immutable after compilation and hold no per-execution state
 (each execution builds a private :class:`_ExecContext`), so the serving
@@ -132,14 +129,14 @@ from .ast import (
     ValuesClause,
     ZeroOrMorePath,
 )
-from .compiler import id_backend
 from .expressions import ExpressionError, effective_boolean_value, evaluate
-from .optimizer import estimate_cardinality, order_patterns
+from .optimizer import order_patterns
 from .rexpr import compile_expression
 
 __all__ = [
     "WherePlan",
     "compile_where",
+    "id_backend",
     "OrderLimit",
     "GroupPipeline",
     "IndexScan",
@@ -259,7 +256,6 @@ class PhysicalOp:
     """Base class: a streaming transformer of register-file rows."""
 
     kind = "Op"
-    estimate: int | None = None
     __slots__ = ()
 
     def run(self, rows: Iterable[list], ctx: _ExecContext) -> Iterator[list]:
@@ -288,13 +284,11 @@ class _StepOp(PhysicalOp):
     plain integer equality suffices.
     """
 
-    __slots__ = ("pattern", "step", "estimate", "eqs")
+    __slots__ = ("pattern", "step", "eqs")
 
-    def __init__(self, pattern: TriplePattern, step: tuple, estimate: int | None,
-                 eqs: tuple = ()):
+    def __init__(self, pattern: TriplePattern, step: tuple, eqs: tuple = ()):
         self.pattern = pattern
         self.step = step
-        self.estimate = estimate
         self.eqs = eqs
 
     def describe(self) -> str:
@@ -320,9 +314,8 @@ class _StepOp(PhysicalOp):
             s = sc if ss is None else row[ss]
             p = pc if ps is None else row[ps]
             o = oc if os_ is None else row[os_]
-            # The three ≥2-bound shapes go through the layout-agnostic
-            # scan API (contiguous run slices on the columnar layout)
-            # and bind at most one register.
+            # The three ≥2-bound shapes are contiguous run slices and
+            # bind at most one register.
             if s is not None and p is not None:
                 if o is not None:
                     check()
@@ -351,8 +344,8 @@ class _StepOp(PhysicalOp):
                 continue
             if p is not None:
                 # ?s <p> ?o — the IndexScan workhorse.  The pair stream
-                # is two zipped column slices on the columnar layout, so
-                # the loop body is one row copy + two register writes
+                # is two zipped column slices, so the loop body is one
+                # row copy + two register writes
                 # per triple of the predicate's contiguous range.
                 for sid, oid in predicate_pairs(p):
                     check()
@@ -787,18 +780,16 @@ class PathClosure(PhysicalOp):
     """
 
     kind = "PathClosure"
-    __slots__ = ("pattern", "path", "s_const", "s_slot", "o_const", "o_slot",
-                 "estimate")
+    __slots__ = ("pattern", "path", "s_const", "s_slot", "o_const", "o_slot")
 
     def __init__(self, pattern: TriplePattern, path: tuple,
-                 s_const, s_slot, o_const, o_slot, estimate: int | None):
+                 s_const, s_slot, o_const, o_slot):
         self.pattern = pattern
         self.path = path
         self.s_const = s_const
         self.s_slot = s_slot
         self.o_const = o_const
         self.o_slot = o_slot
-        self.estimate = estimate
 
     def describe(self) -> str:
         return self.pattern.to_sparql()
@@ -1230,15 +1221,8 @@ class _Lowering:
         per-row ordering on the straight-line path).  Filter placement
         uses neither — it is resolved per entry mask at execution time.
         """
-        values_clauses = [e for e in group.elements if isinstance(e, ValuesClause)]
-        patterns = [e for e in group.elements if isinstance(e, TriplePattern)]
-        filters = [e for e in group.elements if isinstance(e, Filter)]
-        unions = [e for e in group.elements if isinstance(e, UnionPattern)]
-        optionals = [e for e in group.elements if isinstance(e, OptionalPattern)]
-        binds = [e for e in group.elements if isinstance(e, BindClause)]
-        exists_filters = [e for e in group.elements if isinstance(e, ExistsFilter)]
-        minus_patterns = [e for e in group.elements if isinstance(e, MinusPattern)]
-        subselects = [e for e in group.elements if isinstance(e, SubSelect)]
+        (values_clauses, subselects, patterns, filters, unions, optionals,
+         binds, exists_filters, minus_patterns) = group.partition()
 
         self._group_count += 1
         gid = self._group_count
@@ -1279,16 +1263,19 @@ class _Lowering:
             else:
                 ordered = list(patterns)
             for pattern in ordered:
-                estimate = estimate_cardinality(self.graph, pattern)
+                pattern_vars = frozenset(pattern.variables())
                 if isinstance(pattern.p, PropertyPath):
-                    op = self._lower_path(pattern, estimate)
+                    op = self._lower_path(pattern)
                 else:
-                    op = self._lower_step(pattern, may, estimate)
-                    if op is None:
+                    lowered = self.lower_step(pattern)
+                    if lowered is None:
                         # A never-seen constant: this (and only this)
                         # group can produce no rows.
                         empty_pattern = pattern
-                pattern_vars = frozenset(pattern.variables())
+                    else:
+                        step, eqs = lowered
+                        cls = NestedProbe if pattern_vars & may else IndexScan
+                        op = cls(pattern, step, eqs)
                 if empty_pattern is None:
                     pattern_ops.append((op, pattern_vars))
                 may |= pattern_vars
@@ -1401,7 +1388,14 @@ class _Lowering:
         cell_slots = tuple(self.slot(v) for v in variables)
         return SubqueryScan(subselect, runner, variables, cell_slots, inner_root)
 
-    def _lower_step(self, pattern: TriplePattern, may: set, estimate: int | None):
+    def lower_step(self, pattern: TriplePattern) -> tuple[tuple, tuple] | None:
+        """``(step, eqs)`` for one triple pattern with a plain predicate.
+
+        The one per-pattern lowering: a dictionary lookup per constant, a
+        register per variable (see :class:`_StepOp` for the tuple
+        shapes).  Returns None when a constant was never stored —
+        nothing can match the pattern.
+        """
         positions = []
         pattern_vars: set[Variable] = set()
         eqs = []
@@ -1420,13 +1414,11 @@ class _Lowering:
             else:
                 term_id = self.dictionary.lookup(term)
                 if term_id is None:
-                    return None  # never-seen constant: the group is empty
+                    return None
                 positions.extend((term_id, None))
-        step = tuple(positions)
-        cls = NestedProbe if pattern_vars & may else IndexScan
-        return cls(pattern, step, estimate, tuple(eqs))
+        return tuple(positions), tuple(eqs)
 
-    def _lower_path(self, pattern: TriplePattern, estimate: int | None) -> PathClosure:
+    def _lower_path(self, pattern: TriplePattern) -> PathClosure:
         if isinstance(pattern.s, Variable):
             s_const, s_slot = None, self.slot(pattern.s)
         else:
@@ -1436,7 +1428,7 @@ class _Lowering:
         else:
             o_const, o_slot = self.encode(pattern.o), None
         path = self._compile_path(pattern.p)
-        return PathClosure(pattern, path, s_const, s_slot, o_const, o_slot, estimate)
+        return PathClosure(pattern, path, s_const, s_slot, o_const, o_slot)
 
     def _compile_path(self, path) -> tuple:
         if isinstance(path, IRI):
@@ -1563,6 +1555,25 @@ def _slice_rows(rows: list[tuple], query) -> list[tuple]:
     if query.limit is not None:
         rows = rows[: query.limit]
     return rows
+
+
+def id_backend(graph):
+    """The ``(term_dictionary, triple_index)`` behind ``graph``, if any.
+
+    Single-member :class:`~repro.store.dataset.GraphView` wrappers are
+    unwrapped; multi-graph unions have no shared id space and return None,
+    as does any object that does not expose the id-level API.
+    """
+    unwrap = getattr(graph, "backing_graph", None)
+    if unwrap is not None:
+        graph = unwrap()
+        if graph is None:
+            return None
+    dictionary = getattr(graph, "term_dictionary", None)
+    index = getattr(graph, "triple_index", None)
+    if dictionary is None or index is None:
+        return None
+    return dictionary, index
 
 
 def compile_where(graph, where: GroupGraphPattern, optimize: bool = True):

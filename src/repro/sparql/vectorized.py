@@ -14,8 +14,7 @@ Execution model:
   in every row), or an int64 array where the sentinel :data:`UNBOUND`
   (``-2**62``) marks per-row unbound registers.  Plan-local pseudo ids
   are small negatives (``-1 - k``), so the sentinel can never collide
-  with a real or pseudo id.  Without numpy the columns are plain Python
-  lists (the ``array``/stdlib fallback).
+  with a real or pseudo id.
 * **Selection vectors** — filtering operators compute a boolean mask or
   an index vector and gather surviving rows once; expanding operators
   (probes) build a parent-index vector with ``repeat``/``cumsum`` and
@@ -31,11 +30,11 @@ Execution model:
 * **Fast paths and fallback** — vectorized probes slice the sorted runs
   through cached composite keys (:meth:`Run.key12` + ``searchsorted``)
   and are only sound when the run is the complete truth
-  (:meth:`TripleIndex.pure_run`); with buffered deltas/tombstones, a
-  dict-layout store, a mixed-boundness column, or no numpy, the affected
-  operator falls back to the tuple engine *per batch* (rows are
-  round-tripped through the operator's own ``run``), so every shape the
-  tuple engine supports runs batched with identical semantics.
+  (:meth:`TripleIndex.pure_run`); with buffered deltas/tombstones or a
+  mixed-boundness column, the affected operator falls back to the tuple
+  engine *per batch* (rows are round-tripped through the operator's own
+  ``run``), so every shape the tuple engine supports runs batched with
+  identical semantics.
 * **Morsel-driven parallelism** — when the first scheduled operator is a
   driving ``IndexScan`` over a pure run, its row range is split into
   batch-size morsels; with ``parallel > 1`` the morsels are dispatched
@@ -61,6 +60,8 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as _np
+
 from ..errors import QueryEvaluationError, QueryTimeoutError
 from ..rdf.terms import Literal, Variable
 from .ast import Comparison, TermExpr
@@ -82,19 +83,10 @@ from .operators import (
     _StepOp,
 )
 
-try:  # pragma: no cover - import guard
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
-
-if os.environ.get("REPRO_NO_NUMPY"):  # force the stdlib path (CI fallback leg)
-    _np = None
-
 __all__ = [
     "UNBOUND",
     "DEFAULT_BATCH_SIZE",
     "VecConfig",
-    "backend_name",
     "analyze_plan",
     "iter_batches",
     "collect_batches",
@@ -124,11 +116,6 @@ _MAX_EXPANSION = 1 << 24
 
 class _ExpansionLimit(Exception):
     """A probe fan-out exceeds :data:`_MAX_EXPANSION`; use the fallback."""
-
-
-def backend_name() -> str:
-    """Which array backend batches run on: ``"numpy"`` or ``"array"``."""
-    return "numpy" if _np is not None else "array"
 
 
 class VecConfig:
@@ -177,10 +164,7 @@ class Batch:
             return "none"
         cached = self._states.get(slot)
         if cached is None:
-            if _np is not None and not isinstance(col, list):
-                cached = "mixed" if bool((col == UNBOUND).any()) else "all"
-            else:
-                cached = "mixed" if UNBOUND in col else "all"
+            cached = "mixed" if bool((col == UNBOUND).any()) else "all"
             self._states[slot] = cached
         return cached
 
@@ -227,14 +211,7 @@ def _to_tagged_rows(batch: Batch) -> list[list]:
     index (tuple operators copy rows wholesale, so the tag survives)."""
     width = batch.width
     n = batch.n
-    lists = []
-    for col in batch.cols:
-        if col is None:
-            lists.append(None)
-        elif isinstance(col, list):
-            lists.append(col)
-        else:
-            lists.append(col.tolist())
+    lists = [None if col is None else col.tolist() for col in batch.cols]
     rows = []
     for i in range(n):
         row = [None] * (width + 1)
@@ -260,12 +237,7 @@ def _from_rows(rows: list[list], width: int) -> Batch:
             else:
                 vals.append(value)
                 seen = True
-        if not seen:
-            cols.append(None)
-        elif _np is not None:
-            cols.append(_np.array(vals, dtype=_np.int64))
-        else:
-            cols.append(vals)
+        cols.append(_np.array(vals, dtype=_np.int64) if seen else None)
     return Batch(cols, len(rows))
 
 
@@ -276,14 +248,12 @@ def _per_row(op, batch: Batch, vctx: _VecCtx):
     rows = _to_tagged_rows(batch)
     out_rows = list(op.run(iter(rows), vctx.tctx))
     out = _from_rows(out_rows, width)
-    src = [row[width] for row in out_rows]
-    if _np is not None:
-        src = _np.array(src, dtype=_np.int64) if src else _np.empty(0, _np.int64)
+    src = _np.array([row[width] for row in out_rows], dtype=_np.int64)
     return out, src
 
 
 # --------------------------------------------------------------------------
-# Batch primitives (numpy mode)
+# Batch primitives
 # --------------------------------------------------------------------------
 
 
@@ -356,8 +326,6 @@ def _compose(outer, inner):
         return outer
     if outer is None:
         return inner
-    if isinstance(outer, list):
-        return [outer[i] for i in inner]
     return outer[inner]
 
 
@@ -368,8 +336,6 @@ def _compose(outer, inner):
 
 def _run_step(op: _StepOp, batch: Batch, vctx: _VecCtx):
     """One join step over a whole batch via composite-key searchsorted."""
-    if _np is None:
-        return _per_row(op, batch, vctx)
     sc, ss, pc, ps, oc, os_ = op.step
     if ps is not None or pc is None:
         return _per_row(op, batch, vctx)  # variable predicate: rare shape
@@ -388,9 +354,7 @@ def _run_step(op: _StepOp, batch: Batch, vctx: _VecCtx):
     o_kind = classify(oc, os_)
     if s_kind is None or o_kind is None:
         return _per_row(op, batch, vctx)
-    pure = getattr(vctx.index, "pure_run", None)
-    if pure is None:
-        return _per_row(op, batch, vctx)
+    pure = vctx.index.pure_run
     m = len(vctx.plan.dictionary)
     n = batch.n
 
@@ -569,8 +533,6 @@ def _run_filter(op: FilterOp, batch: Batch, vctx: _VecCtx):
     semantics, errors remove the row); multi-column programs fall back
     to the tuple operator for the whole batch.
     """
-    if _np is None:
-        return _per_row(op, batch, vctx)
     mask = None
     for constraint, program in zip(op.filters, op.programs):
         part = _comparison_mask(op, constraint, batch, vctx)
@@ -702,8 +664,6 @@ def _numeric_column(col, vctx: _VecCtx):
 def _run_values(op: ValuesBind, batch: Batch, vctx: _VecCtx):
     """VALUES join: per value row, a compatibility mask + overridden
     columns; outputs interleaved back into (row, value-row) order."""
-    if _np is None:
-        return _per_row(op, batch, vctx)
     return _values_join(op.cell_slots, op.encoded_rows, batch)
 
 
@@ -711,8 +671,6 @@ def _run_subquery(op: SubqueryScan, batch: Batch, vctx: _VecCtx):
     """Subquery join: the inner plan's encoded result rows (materialized
     once per execution, memoized on the shared tuple context) join with
     the exact VALUES compatibility loop — None cells skip like UNDEF."""
-    if _np is None:
-        return _per_row(op, batch, vctx)
     return _values_join(op.cell_slots, op.encoded_rows(vctx.tctx), batch)
 
 
@@ -788,13 +746,7 @@ def _raise_group_rebinds(pipeline, batch: Batch) -> None:
             next(op.run(iter(()), None), None)  # always raises
         elif isinstance(op, BindOp):
             col = batch.cols[op.slot]
-            if col is None:
-                continue
-            if _np is not None and not isinstance(col, list):
-                bound = bool((col != UNBOUND).any())
-            else:
-                bound = any(value != UNBOUND for value in col)
-            if bound:
+            if col is not None and bool((col != UNBOUND).any()):
                 raise QueryEvaluationError(
                     f"BIND would rebind in-scope variable "
                     f"{op.bind.variable.n3()}"
@@ -833,8 +785,6 @@ def _entry_mask_groups(pipeline, batch: Batch):
 
 
 def _run_leftjoin(op: LeftJoin, batch: Batch, vctx: _VecCtx):
-    if _np is None:
-        return _per_row(op, batch, vctx)
     inner_out, src = _run_group(op.inner, batch, vctx)
     matched = _np.zeros(batch.n, dtype=bool)
     if len(src):
@@ -845,8 +795,6 @@ def _run_leftjoin(op: LeftJoin, batch: Batch, vctx: _VecCtx):
 
 
 def _run_union(op: UnionOp, batch: Batch, vctx: _VecCtx):
-    if _np is None:
-        return _per_row(op, batch, vctx)
     parts = [_run_group(branch, batch, vctx) for branch in op.branches]
     return _merge_parts(list(parts), batch.width)
 
@@ -861,8 +809,6 @@ def _run_bind(op: BindOp, batch: Batch, vctx: _VecCtx):
     register value, exactly like the tuple operator; programs reading
     two or more bound columns run per-row.
     """
-    if _np is None:
-        return _per_row(op, batch, vctx)
     n = batch.n
     identity = _np.arange(n, dtype=_np.int64)
     program = op.program
@@ -906,8 +852,6 @@ def _run_exists(op: ExistsJoin, batch: Batch, vctx: _VecCtx):
     whole batch and collapses to a per-source matched flag.  (The tuple
     operator stops at the first inner match per row; batched we take the
     full inner result — same rows survive, inner bindings never leak.)"""
-    if _np is None:
-        return _per_row(op, batch, vctx)
     _out, src = _run_group(op.inner, batch, vctx)
     matched = _np.zeros(batch.n, dtype=bool)
     if len(src):
@@ -926,8 +870,6 @@ def _run_minus(op: MinusJoin, batch: Batch, vctx: _VecCtx):
     left row is removed when some right row reaches shared-and-no-
     conflict — the interpreter's compatibility rule, vectorized.
     """
-    if _np is None:
-        return _per_row(op, batch, vctx)
     n = batch.n
     identity = _np.arange(n, dtype=_np.int64)
     right = op.right_rows(vctx.tctx)
@@ -998,8 +940,8 @@ def _fold(ops, batch: Batch, vctx: _VecCtx):
             for tail_op in ops[i:]:
                 if isinstance(tail_op, _BindRebind):
                     next(tail_op.run(iter(()), vctx.tctx), None)
-            return batch, (srcmap if srcmap is not None else
-                           ([] if _np is None else _np.empty(0, _np.int64)))
+            return batch, (srcmap if srcmap is not None
+                           else _np.empty(0, _np.int64))
         vctx.check()
         batch, inner = _run_op(op, batch, vctx)
         srcmap = _compose(srcmap, inner)
@@ -1039,9 +981,7 @@ def _find_driver(plan, ops):
     sc, ss, pc, ps, oc, os_ = ops[0].step
     if pc is None or ps is not None:
         return None
-    pure = getattr(plan.index, "pure_run", None)
-    if pure is None:
-        return None
+    pure = plan.index.pure_run
     if sc is None and ss is not None:
         run = pure(1)  # POS: a=p, b=o, c=s
         if run is None:
@@ -1113,40 +1053,25 @@ def _driver_batch(driver: _Driver, lo, hi, width, filters, eqs):
     """One morsel of the driving scan, as zero-copy column slices."""
     n = hi - lo
     cols: list = [None] * width
-    if _np is not None:
-        _a, b_np, c_np, _st = driver.run.as_numpy()
-        by_slot = {
-            slot: (c_np if which == "c" else b_np)[lo:hi]
-            for slot, which in driver.bind
-        }
-        mask = None
-        for a, b in eqs:
-            part = by_slot[a] == by_slot[b]
-            mask = part if mask is None else (mask & part)
-        for slot, sorted_ids in filters:
-            part = _membership_mask(by_slot[slot], sorted_ids)
-            mask = part if mask is None else (mask & part)
-        if mask is not None:
-            idx = _np.nonzero(mask)[0]
-            by_slot = {slot: col[idx] for slot, col in by_slot.items()}
-            n = len(idx)
-        for slot, col in by_slot.items():
-            cols[slot] = col
-        return Batch(cols, int(n))
+    _a, b_np, c_np, _st = driver.run.as_numpy()
     by_slot = {
-        slot: (driver.run.c if which == "c" else driver.run.b)[lo:hi].tolist()
+        slot: (c_np if which == "c" else b_np)[lo:hi]
         for slot, which in driver.bind
     }
-    if eqs:
-        keep = [
-            i for i in range(n)
-            if all(by_slot[a][i] == by_slot[b][i] for a, b in eqs)
-        ]
-        by_slot = {slot: [col[i] for i in keep] for slot, col in by_slot.items()}
-        n = len(keep)
+    mask = None
+    for a, b in eqs:
+        part = by_slot[a] == by_slot[b]
+        mask = part if mask is None else (mask & part)
+    for slot, sorted_ids in filters:
+        part = _membership_mask(by_slot[slot], sorted_ids)
+        mask = part if mask is None else (mask & part)
+    if mask is not None:
+        idx = _np.nonzero(mask)[0]
+        by_slot = {slot: col[idx] for slot, col in by_slot.items()}
+        n = len(idx)
     for slot, col in by_slot.items():
         cols[slot] = col
-    return Batch(cols, n)
+    return Batch(cols, int(n))
 
 
 def _seed_batch(plan) -> Batch:
@@ -1171,12 +1096,10 @@ def _prepare(plan, vctx: _VecCtx):
     driver = _find_driver(plan, ops)
     if driver is None:
         return None, ops, (), ()
-    rest = list(ops[1:])
+    rest, pushed = _find_pushdowns(driver, ops)
     filters = ()
-    if _np is not None:
-        rest, pushed = _find_pushdowns(driver, ops)
-        if pushed:
-            filters = _build_semijoin_filters(vctx.index, pushed, vctx)
+    if pushed:
+        filters = _build_semijoin_filters(vctx.index, pushed, vctx)
     ranges = _morsel_ranges(driver, vctx.config.batch_size)
     vctx.morsels = len(ranges)
     return driver, tuple(rest), filters, ranges
@@ -1261,18 +1184,12 @@ def _decoded_columns(plan, batch: Batch, vctx: _VecCtx, slot_items):
         if col is None:
             columns.append((variable, None))
             continue
-        if _np is not None and not isinstance(col, list):
-            uniq, inverse = _np.unique(col, return_inverse=True)
-            table = [
-                None if term_id == UNBOUND else decode(term_id)
-                for term_id in uniq.tolist()
-            ]
-            columns.append((variable, [table[j] for j in inverse.tolist()]))
-        else:
-            columns.append((variable, [
-                None if term_id == UNBOUND else decode(term_id)
-                for term_id in col
-            ]))
+        uniq, inverse = _np.unique(col, return_inverse=True)
+        table = [
+            None if term_id == UNBOUND else decode(term_id)
+            for term_id in uniq.tolist()
+        ]
+        columns.append((variable, [table[j] for j in inverse.tolist()]))
     return columns
 
 
@@ -1342,13 +1259,12 @@ def analyze_plan(plan, batch_size: int | None = None,
                  parallel: int | None = None) -> dict:
     """What batched execution would do — for ``explain()`` rendering.
 
-    Returns backend, batch size, morsel count estimate, the pushed
+    Returns batch size, morsel count estimate, the pushed
     semi-join filters (pattern strings), and whether a morselizable
     driving scan exists.  Purely static: nothing is executed.
     """
     config = VecConfig(batch_size=batch_size, parallel=parallel)
     info = {
-        "backend": backend_name(),
         "batch_size": config.batch_size,
         "parallel": config.parallel,
         "driver": None,
@@ -1364,7 +1280,6 @@ def analyze_plan(plan, batch_size: int | None = None,
         return info
     info["driver"] = driver.op.pattern.to_sparql()
     info["morsels"] = max(1, len(_morsel_ranges(driver, config.batch_size)))
-    if _np is not None:
-        _rest, pushed = _find_pushdowns(driver, ops)
-        info["pushed"] = [item[4].pattern.to_sparql() for item in pushed]
+    _rest, pushed = _find_pushdowns(driver, ops)
+    info["pushed"] = [item[4].pattern.to_sparql() for item in pushed]
     return info

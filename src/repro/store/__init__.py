@@ -13,7 +13,6 @@ from .index import (
     PredicateStats,
     TermDictionary,
     TripleIndex,
-    make_triple_index,
 )
 from .snapshot import (
     SnapshotTermDictionary,
@@ -38,7 +37,6 @@ __all__ = [
     "TripleIndex",
     "DictTripleIndex",
     "PredicateStats",
-    "make_triple_index",
     "save_snapshot",
     "load_snapshot",
     "verify_snapshot",

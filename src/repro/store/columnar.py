@@ -11,32 +11,21 @@ with binary searches bounded to that range.  Scans come back as zero-copy
 execution layer can iterate (and, later, batch) without per-key hops.
 
 Columns are exposed as memoryviews so they can be backed either by heap
-``array('q')`` buffers (in-memory graphs) or by an ``mmap`` of a snapshot
+numpy buffers (in-memory graphs) or by an ``mmap`` of a snapshot
 file (see :mod:`repro.store.snapshot`) — the scan code cannot tell the
-difference.  Sorting and offset building go through numpy when it is
-importable (``lexsort``/``bincount`` on millions of rows) with a pure
-stdlib fallback.
+difference.  Sorting and offset building go through numpy
+(``lexsort``/``bincount`` on millions of rows).
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Sequence
+from typing import Iterable
 
-try:  # numpy accelerates merges ~30x; the stdlib path is the safety net.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+import numpy as _np
 
-if os.environ.get("REPRO_NO_NUMPY"):  # force the stdlib path (CI fallback leg)
-    _np = None
-
-__all__ = ["Run", "EMPTY_RUN", "build_run", "merge_run"]
-
-#: int64 in little-endian byte order — the only on-disk representation.
-ITEM_SIZE = 8
+__all__ = ["Run", "EMPTY_RUN", "merge_run"]
 
 _EMPTY_MV = memoryview(array("q"))
 _ZERO_STARTS = memoryview(array("q", [0]))
@@ -48,8 +37,8 @@ class Run:
     ``a``/``b``/``c`` are memoryviews of int64 in permutation order (for
     SPO: a=subject, b=predicate, c=object).  ``starts`` has
     ``max(a) + 2`` entries; ids beyond it simply have no rows.
-    ``owner`` keeps the backing buffers (arrays, numpy arrays, or an open
-    mmap) alive for as long as the run is referenced.
+    ``owner`` keeps the backing buffers (numpy arrays or an open mmap)
+    alive for as long as the run is referenced.
     """
 
     __slots__ = ("a", "b", "c", "starts", "n", "owner", "_np_cols", "_key12")
@@ -68,12 +57,9 @@ class Run:
         """The columns as int64 numpy views ``(a, b, c, starts)``.
 
         Zero-copy (``frombuffer`` over the memoryviews, heap- or
-        mmap-backed alike), cached for the run's lifetime; ``None`` when
-        numpy is unavailable.  Runs are immutable, so the cache never
-        invalidates.
+        mmap-backed alike), cached for the run's lifetime.  Runs are
+        immutable, so the cache never invalidates.
         """
-        if _np is None:
-            return None
         cols = self._np_cols
         if cols is None:
             cols = (
@@ -98,8 +84,6 @@ class Run:
         if cached is not None and cached[0] == m:
             return cached[1]
         cols = self.as_numpy()
-        if cols is None:
-            return None
         keys = cols[0] * m + cols[1]
         self._key12 = (m, keys)
         return keys
@@ -147,60 +131,24 @@ class Run:
 EMPTY_RUN = Run(_EMPTY_MV, _EMPTY_MV, _EMPTY_MV, _ZERO_STARTS)
 
 
-def _build_starts_py(a: Sequence[int], n: int) -> memoryview:
-    """Stdlib offset build over a sorted first-key column."""
-    max_id = a[n - 1] if n else -1
-    starts = array("q", bytes(ITEM_SIZE * (max_id + 2)))
-    # a is sorted, so each key's range ends where the next begins; fill
-    # the cumulative boundaries in one pass.
-    prev = 0
-    for row in range(n):
-        key = a[row]
-        if key != prev or row == 0:
-            for k in range(prev + 1, key + 1):
-                starts[k] = row
-            prev = key
-    for k in range(prev + 1, max_id + 2):
-        starts[k] = n
+def _first_key_offsets(a) -> memoryview:
+    """CSR offsets over a sorted, non-empty first-key column."""
+    max_id = int(a[-1])
+    counts = _np.bincount(a, minlength=max_id + 1)
+    starts = _np.zeros(max_id + 2, dtype=_np.int64)
+    _np.cumsum(counts, out=starts[1 : max_id + 2])
     return memoryview(starts)
 
 
-def _finish_np(a, b, c) -> Run:
-    """Sort numpy columns lexicographically and attach offsets."""
+def _finish(a, b, c) -> Run:
+    """Sort non-empty numpy columns lexicographically and attach offsets."""
     order = _np.lexsort((c, b, a))
     a = _np.ascontiguousarray(a[order])
     b = _np.ascontiguousarray(b[order])
     c = _np.ascontiguousarray(c[order])
-    n = len(a)
-    max_id = int(a[-1]) if n else -1
-    counts = _np.bincount(a, minlength=max_id + 1)
-    starts = _np.zeros(max_id + 2, dtype=_np.int64)
-    _np.cumsum(counts, out=starts[1 : max_id + 2])
-    owner = (a, b, c, starts)
-    return Run(memoryview(a), memoryview(b), memoryview(c), memoryview(starts), owner)
-
-
-def _finish_py(rows: list[tuple[int, int, int]]) -> Run:
-    rows.sort()
-    a = array("q", (r[0] for r in rows))
-    b = array("q", (r[1] for r in rows))
-    c = array("q", (r[2] for r in rows))
-    starts = _build_starts_py(a, len(a))
     owner = (a, b, c)
-    return Run(memoryview(a), memoryview(b), memoryview(c), starts, owner)
-
-
-def build_run(rows: list[tuple[int, int, int]]) -> Run:
-    """A fresh run from unsorted ``(a, b, c)`` rows."""
-    if not rows:
-        return EMPTY_RUN
-    if _np is not None:
-        n = len(rows)
-        a = _np.fromiter((r[0] for r in rows), _np.int64, n)
-        b = _np.fromiter((r[1] for r in rows), _np.int64, n)
-        c = _np.fromiter((r[2] for r in rows), _np.int64, n)
-        return _finish_np(a, b, c)
-    return _finish_py(list(rows))
+    return Run(memoryview(a), memoryview(b), memoryview(c),
+               _first_key_offsets(a), owner)
 
 
 def build_run_from_columns(a, b, c) -> Run:
@@ -209,17 +157,9 @@ def build_run_from_columns(a, b, c) -> Run:
     Only the offset array is (re)built; the columns are used as-is, so a
     caller holding mmap-backed views gets an O(columns-of-one-key) load.
     """
-    n = len(a)
-    if not n:
+    if not len(a):
         return EMPTY_RUN
-    if _np is not None:
-        arr = _np.frombuffer(a, dtype=_np.int64)
-        max_id = int(arr[-1])
-        counts = _np.bincount(arr, minlength=max_id + 1)
-        starts = _np.zeros(max_id + 2, dtype=_np.int64)
-        _np.cumsum(counts, out=starts[1 : max_id + 2])
-        return Run(a, b, c, memoryview(starts), owner=starts)
-    return Run(a, b, c, _build_starts_py(a, n))
+    return Run(a, b, c, _first_key_offsets(_np.frombuffer(a, dtype=_np.int64)))
 
 
 def merge_run(
@@ -234,30 +174,19 @@ def merge_run(
     :meth:`Run.find` by the caller).
     """
     n = run.n
-    if not n and not added:
+    if n:
+        a, b, c, _starts = run.as_numpy()
+        if dead_rows:
+            keep = _np.ones(n, dtype=bool)
+            keep[dead_rows] = False
+            a, b, c = a[keep], b[keep], c[keep]
+    else:
+        a = b = c = _np.empty(0, dtype=_np.int64)
+    if added:
+        m = len(added)
+        a = _np.concatenate([a, _np.fromiter((r[0] for r in added), _np.int64, m)])
+        b = _np.concatenate([b, _np.fromiter((r[1] for r in added), _np.int64, m)])
+        c = _np.concatenate([c, _np.fromiter((r[2] for r in added), _np.int64, m)])
+    if not len(a):
         return EMPTY_RUN
-    if _np is not None:
-        if n:
-            a = _np.frombuffer(run.a, dtype=_np.int64)
-            b = _np.frombuffer(run.b, dtype=_np.int64)
-            c = _np.frombuffer(run.c, dtype=_np.int64)
-            if dead_rows:
-                keep = _np.ones(n, dtype=bool)
-                keep[dead_rows] = False
-                a, b, c = a[keep], b[keep], c[keep]
-        else:
-            a = b = c = _np.empty(0, dtype=_np.int64)
-        if added:
-            m = len(added)
-            a = _np.concatenate([a, _np.fromiter((r[0] for r in added), _np.int64, m)])
-            b = _np.concatenate([b, _np.fromiter((r[1] for r in added), _np.int64, m)])
-            c = _np.concatenate([c, _np.fromiter((r[2] for r in added), _np.int64, m)])
-        if not len(a):
-            return EMPTY_RUN
-        return _finish_np(a, b, c)
-    dead = set(dead_rows)
-    rows = [row for i, row in enumerate(run.rows()) if i not in dead]
-    rows.extend(added)
-    if not rows:
-        return EMPTY_RUN
-    return _finish_py(rows)
+    return _finish(a, b, c)

@@ -15,7 +15,12 @@ from ..rdf.ntriples import parse_ntriples, serialize_ntriples
 from ..rdf.terms import IRI, Literal, Node
 from ..rdf.triple import Triple
 from ..rdf.turtle import parse_turtle
-from .index import PredicateStats, TermDictionary, make_triple_index
+from .index import (
+    DEFAULT_FLUSH_THRESHOLD,
+    PredicateStats,
+    TermDictionary,
+    TripleIndex,
+)
 
 __all__ = ["Graph"]
 
@@ -43,12 +48,13 @@ class Graph:
         name: IRI | None = None,
         triples: Iterable[Triple] | None = None,
         *,
-        layout: str = "columnar",
         flush_threshold: int | None = None,
     ):
         self.name = name
         self._terms = TermDictionary()
-        self._index = make_triple_index(layout, flush_threshold)
+        if flush_threshold is None:
+            flush_threshold = DEFAULT_FLUSH_THRESHOLD
+        self._index = TripleIndex(flush_threshold)
         self._epoch = 0
         self._uid = next(Graph._uids)
         if triples is not None:
@@ -108,11 +114,6 @@ class Graph:
     def triple_index(self):
         """The id-level permutation indexes, for id-space query execution."""
         return self._index
-
-    @property
-    def layout(self) -> str:
-        """The physical storage layout (``columnar`` or ``dict``)."""
-        return self._index.layout
 
     # -- mutation ---------------------------------------------------------
 

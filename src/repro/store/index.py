@@ -7,34 +7,34 @@ integer id once, and triples are stored as id-rows in three permutations
 (SPO, POS, OSP).  Any of the eight triple-pattern shapes then resolves
 against the permutation that binds the most positions.
 
-Two physical layouts implement the same API:
+Every :class:`~repro.store.graph.Graph` stores its triples in a
+:class:`TripleIndex`, the **columnar** layout.  Each permutation is one
+sorted :class:`~repro.store.columnar.Run` of three contiguous int64
+columns with a CSR offset array over the first key, plus an append-side
+**delta buffer** in nested-dict shape and a tombstone set for removals
+of run-resident triples.  Writes land in the delta; once delta +
+tombstones outgrow a threshold proportional to the run, everything
+merges into a fresh run (amortized O(n) total merge work over an
+n-triple ingest).  Reads consult the run via O(1) offset lookups +
+bounded binary searches and overlay the delta.  Runs can be mmap-backed
+(see :mod:`repro.store.snapshot`), which makes bootstrap O(file open).
 
-* :class:`TripleIndex` — the default **columnar** layout.  Each
-  permutation is one sorted :class:`~repro.store.columnar.Run` of three
-  contiguous int64 columns with a CSR offset array over the first key,
-  plus an append-side **delta buffer** in the old nested-dict shape and a
-  tombstone set for removals of run-resident triples.  Writes land in the
-  delta; once delta + tombstones outgrow a threshold proportional to the
-  run, everything merges into a fresh run (amortized O(n) total merge
-  work over an n-triple ingest).  Reads consult the run via O(1) offset
-  lookups + bounded binary searches and overlay the delta.  Runs can be
-  mmap-backed (see :mod:`repro.store.snapshot`), which makes bootstrap
-  O(file open).
-* :class:`DictTripleIndex` — the previous nested-hash layout
-  (``dict[a][b] -> set[c]`` per permutation), kept as the comparison
-  baseline for the storage benchmarks and as a small-graph alternative.
+:class:`DictTripleIndex` — nested hashes, ``dict[a][b] -> set[c]`` per
+permutation — implements the same API and is the reference index the
+storage equivalence suite compares :class:`TripleIndex` against; no
+graph is built on it.
 
-Both double as the engine's **statistics catalog**: per-predicate triple
-counts and distinct subject/object counts are maintained incrementally on
-every add/remove, and every single-constant ``count`` shape stays cheap
-(O(1) dict/offset reads), so the join-order optimizer never pays O(data)
-to cost a plan.
+The index doubles as the engine's **statistics catalog**: per-predicate
+triple counts and distinct subject/object counts are maintained
+incrementally on every add/remove, and every single-constant ``count``
+shape stays cheap (O(1) dict/offset reads), so the join-order optimizer
+never pays O(data) to cost a plan.
 
-The execution layer consumes the layout-agnostic scan API —
-``scan_objects`` / ``scan_subjects`` / ``scan_predicates`` /
-``predicate_pairs`` / ``contains`` — rather than raw permutation maps;
-on the columnar layout those return zero-copy memoryview slices of the
-run columns wherever no delta/tombstone overlay is needed.
+The execution layer consumes the scan API — ``scan_objects`` /
+``scan_subjects`` / ``scan_predicates`` / ``predicate_pairs`` /
+``contains`` — rather than raw permutation maps; those return zero-copy
+memoryview slices of the run columns wherever no delta/tombstone overlay
+is needed.
 """
 
 from __future__ import annotations
@@ -51,15 +51,11 @@ __all__ = [
     "TripleIndex",
     "DictTripleIndex",
     "PredicateStats",
-    "make_triple_index",
-    "LAYOUTS",
 ]
 
 #: Flush the delta buffer into the sorted runs past this many buffered
 #: mutations (or earlier, once it outgrows a quarter of the run).
 DEFAULT_FLUSH_THRESHOLD = 65536
-
-LAYOUTS = ("columnar", "dict")
 
 
 @dataclass(frozen=True)
@@ -163,18 +159,16 @@ def _count_down(counts: dict, key) -> None:
 class DictTripleIndex:
     """Nested-hash permutation indexes over dictionary-encoded triples.
 
-    The original layout: ``dict[a][b] -> set[c]`` per permutation.  O(1)
-    point probes, but each triple costs several boxed container entries
-    (~70 bytes/triple/permutation) and scans chase hash buckets instead
-    of streaming contiguous memory.  Kept as the benchmark baseline and
-    selectable via ``Graph(layout="dict")``.
+    ``dict[a][b] -> set[c]`` per permutation.  O(1) point probes, but
+    each triple costs several boxed container entries (~70
+    bytes/triple/permutation) and scans chase hash buckets instead of
+    streaming contiguous memory.  The reference implementation
+    :class:`TripleIndex` is tested against.
 
     All methods speak integer ids; the owning
     :class:`~repro.store.graph.Graph` handles term encoding/decoding.
     Pattern positions use ``None`` as the wildcard.
     """
-
-    layout = "dict"
 
     __slots__ = ("_spo", "_pos", "_osp", "_size",
                  "_s_counts", "_p_counts", "_o_counts", "_p_subjects")
@@ -234,8 +228,6 @@ class DictTripleIndex:
         return objects is not None and o in objects
 
     # -- scan API -----------------------------------------------------------
-    # The compiled id-space engine probes through these instead of the raw
-    # nested maps, so both physical layouts plug into the same join loops.
 
     def scan_objects(self, s: int, p: int) -> Sequence[int]:
         """Objects of all ``(s, p, *)`` triples (any iterable container)."""
@@ -384,7 +376,7 @@ _PERMS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 class TripleIndex:
-    """Columnar sorted-run permutation indexes (the default layout).
+    """Columnar sorted-run permutation indexes.
 
     Structure per permutation: one main :class:`Run` (sorted columns +
     first-key offsets) holding the bulk of the data.  On top of all three
@@ -399,8 +391,6 @@ class TripleIndex:
     ``max(flush_threshold, run_rows // 4)``, which keeps total merge work
     amortized-linear over an ingest.
     """
-
-    layout = "columnar"
 
     __slots__ = (
         "_runs", "_dspo", "_dpos", "_dosp", "_delta_size",
@@ -996,14 +986,3 @@ class TripleIndex:
             distinct_subjects=self._p_subjects.get(p, 0),
             distinct_objects=self._p_objects.get(p, 0),
         )
-
-
-def make_triple_index(layout: str = "columnar", flush_threshold: int | None = None):
-    """Construct a triple index for ``layout`` (``columnar`` or ``dict``)."""
-    if layout == "columnar":
-        if flush_threshold is None:
-            return TripleIndex()
-        return TripleIndex(flush_threshold=flush_threshold)
-    if layout == "dict":
-        return DictTripleIndex()
-    raise ValueError(f"unknown storage layout {layout!r}; expected one of {LAYOUTS}")

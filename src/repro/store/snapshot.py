@@ -42,7 +42,7 @@ from typing import IO, Callable, Iterator
 
 from ..errors import ReadOnlySnapshotError, SnapshotError
 from ..rdf.terms import BNode, IRI, Literal, Node
-from .columnar import Run, build_run, build_run_from_columns
+from .columnar import Run, build_run_from_columns
 from .graph import Graph
 from .index import DEFAULT_FLUSH_THRESHOLD, TripleIndex
 from .wal import fsync_directory
@@ -208,24 +208,10 @@ class SnapshotTermDictionary:
 
 
 def _graph_runs(graph: Graph) -> tuple[tuple[Run, Run, Run], list[tuple[int, int, int, int]]]:
-    """The three sorted runs + catalog rows for any index layout."""
+    """The three sorted runs + catalog rows, after flushing the delta."""
     index = graph.triple_index
-    if isinstance(index, TripleIndex):
-        index.flush()
-        return index.runs, list(index.predicate_stat_rows())
-    # Dict layout (or any façade-compatible index): sort a row dump per
-    # permutation and rebuild the catalog through the public stats API.
-    triples = list(index.match(None, None, None))
-    runs = (
-        build_run(triples),
-        build_run([(p, o, s) for (s, p, o) in triples]),
-        build_run([(o, s, p) for (s, p, o) in triples]),
-    )
-    stats = []
-    for pid in index.predicates():
-        entry = index.predicate_stats(pid)
-        stats.append((pid, entry.triples, entry.distinct_subjects, entry.distinct_objects))
-    return runs, stats
+    index.flush()
+    return index.runs, list(index.predicate_stat_rows())
 
 
 def _column_bytes(view) -> bytes:
@@ -240,9 +226,8 @@ def _column_bytes(view) -> bytes:
 def save_snapshot(graph: Graph, path: str, *, opener: Callable = open) -> int:
     """Write ``graph`` to ``path`` atomically; returns the size in bytes.
 
-    Works for both layouts: a columnar graph flushes its delta and dumps
-    its runs; a dict-layout graph is sorted into runs on the way out.
-    Either way the file loads back as a columnar graph.
+    The graph's delta buffer is flushed first, so the file holds exactly
+    the three sorted runs.
 
     Crash safety: the bytes go to ``path + ".tmp"`` first, are fsynced,
     and only then renamed over ``path`` (followed by a directory fsync so

@@ -17,7 +17,14 @@ from repro.errors import QueryEvaluationError, QueryTimeoutError
 from repro.qb import OBSERVATION_CLASS
 from repro.rdf import IRI, Triple, Variable, literal_from_python
 from repro.serving import QueryCache
-from repro.sparql import Evaluator, ask_bgp_batch, compile_bgp, order_batch, parse_query
+from repro.sparql import (
+    Evaluator,
+    ask_bgp_batch,
+    compile_where,
+    explain,
+    order_batch,
+    parse_query,
+)
 from repro.sparql.ast import TriplePattern
 from repro.store import Graph, PredicateStats
 
@@ -41,6 +48,30 @@ graph_triples = st.lists(
 bgp_shapes = st.tuples(
     predicate_ids, predicate_ids,
     st.sampled_from(["chain", "fork", "loop", "anchored", "filtered", "self"]),
+)
+
+
+# Random BGP(+FILTER) ASK bodies.  Positions draw from a three-variable
+# pool (so variables repeat within and across patterns) or from constants
+# that include one node and one predicate no graph ever stores.
+_ask_variables = st.sampled_from(["?a", "?b", "?c"])
+_ask_nodes = st.sampled_from([f"<{EX}n{i}>" for i in range(6)] + [f"<{EX}absent>"])
+_ask_predicates = st.sampled_from(
+    [f"<{EX}p{i}>" for i in range(4)] + [f"<{EX}value>", f"<{EX}absent-p>"]
+)
+_ask_patterns = st.tuples(
+    st.one_of(_ask_variables, _ask_variables, _ask_nodes),
+    st.one_of(_ask_predicates, _ask_predicates, _ask_variables),
+    st.one_of(_ask_variables, _ask_variables, _ask_nodes),
+).map(" ".join)
+_ask_filters = st.sampled_from([
+    "", "", "", "FILTER(?a != ?b)", f"FILTER(?a = <{EX}n1>)", "FILTER(?c >= 20)",
+    f"FILTER(?a != <{EX}n0>)", f"FILTER(?b != <{EX}absent>)",
+])
+ask_bodies = st.tuples(st.lists(_ask_patterns, min_size=1, max_size=3), _ask_filters)
+# Dense enough that a fair share of the random ASKs hold.
+dense_graph_triples = st.lists(
+    st.tuples(subject_ids, predicate_ids, object_ids), min_size=20, max_size=60
 )
 
 
@@ -113,6 +144,22 @@ class TestCompiledEquivalence:
                 Evaluator(graph, compile=True).ask(query)
                 == Evaluator(graph, compile=False).ask(query)
             )
+
+    @settings(max_examples=150, deadline=None)
+    @given(dense_graph_triples, ask_bodies)
+    def test_bgp_ask_agrees_across_engines_and_batch(self, encoded, body):
+        """One BGP lowering serves ``compile_where`` and the batch trie:
+        the compiled ASK, the interpreter's ASK and the batched verdict
+        agree — repeated variables and never-stored constants included."""
+        patterns, constraint = body
+        graph = build_graph(encoded)
+        where = " . ".join(patterns) + " . " + constraint
+        query = parse_query(f"ASK {{ {where} }}")
+        compiled = Evaluator(graph, compile=True).ask(query)
+        assert compiled == Evaluator(graph, compile=False).ask(query)
+        if not constraint:
+            verdicts, _stats = ask_bgp_batch(graph, [query.where.triple_patterns()])
+            assert verdicts == [compiled]
 
 
 # -- unified operator pipeline (OPTIONAL / UNION / VALUES / paths / BIND /
@@ -353,33 +400,41 @@ class TestPathClosureDeadline:
 
 class TestRepeatedVariablePatterns:
     """A pattern like ``?x <p> ?x`` carries an intra-pattern equality
-    constraint.  It now compiles: the repeated occurrence binds a
-    scratch register and the step's equality pair keeps only rows where
-    both positions agree — no term-space fallback."""
+    constraint: the repeated occurrence binds a scratch register and the
+    step's equality pair keeps only rows where both positions agree — no
+    term-space fallback."""
 
     def _graph(self):
         # One genuine self-loop (n3 p0 n3) among ordinary edges; no
         # self-loop at all for p1.
         return build_graph([(0, 0, 1), (1, 0, 2), (3, 0, 3), (2, 1, 4)])
 
-    def test_compiles_with_scratch_register(self):
+    def test_lowers_with_scratch_register(self):
         graph = self._graph()
-        patterns = [TriplePattern(Variable("x"), iri("p0"), Variable("x"))]
-        plan = compile_bgp(graph, patterns)
-        assert plan is not None
+        loop = parse_query(f"SELECT * WHERE {{ ?x <{EX}p0> ?x . }}")
+        plan, reason = compile_where(graph, loop.where)
+        assert reason is None
+        assert explain(graph, loop).engine == "compiled"
         # One canonical slot for ?x, one scratch for the repetition.
         assert plan.num_slots == 1
         assert plan.num_registers == 2
-        assert plan.step_eqs == (((0, 1),),)
-        # A variable repeated across *different* patterns needs no eqs.
-        chain = [
-            TriplePattern(Variable("a"), iri("p0"), Variable("b")),
-            TriplePattern(Variable("b"), iri("p1"), Variable("a")),
-        ]
-        chained = compile_bgp(graph, chain)
-        assert chained is not None
-        assert chained.step_eqs == ((), ())
+        # A variable repeated across *different* patterns needs no scratch.
+        chain = parse_query(
+            f"SELECT * WHERE {{ ?a <{EX}p0> ?b . ?b <{EX}p1> ?a . }}"
+        )
+        chained, _reason = compile_where(graph, chain.where)
         assert chained.num_registers == 2
+        # ...and no equality pair either: its steps are plain ones, so in
+        # the batch trie the chain shares its first step with a sibling
+        # that only differs in the last variable.
+        a, b, c = Variable("a"), Variable("b"), Variable("c")
+        first = TriplePattern(a, iri("p0"), b)
+        verdicts, stats = ask_bgp_batch(graph, [
+            [first, TriplePattern(b, iri("p1"), a)],
+            [first, TriplePattern(b, iri("p1"), c)],
+        ])
+        assert verdicts == [False, True]
+        assert (stats.total_steps, stats.unique_steps) == (4, 3)
 
     def test_select_keeps_equality(self):
         graph = self._graph()
@@ -430,20 +485,35 @@ class TestPlanCompilation:
     def test_unseen_constant_short_circuits(self):
         graph = build_graph([(0, 0, 1)])
         patterns = [TriplePattern(Variable("a"), iri("never-stored"), Variable("b"))]
-        plan = compile_bgp(graph, patterns)
-        assert plan is not None and plan.empty
-        result = Evaluator(graph).select(
-            parse_query(f"SELECT * WHERE {{ ?a <{EX}never-stored> ?b . }}")
-        )
-        assert len(result) == 0
+        # Decided by the lowering alone: no trie is built, no index probed.
+        verdicts, stats = ask_bgp_batch(graph, [patterns])
+        assert verdicts == [False]
+        assert (stats.candidates, stats.probes) == (0, 0)
+        query = parse_query(f"SELECT * WHERE {{ ?a <{EX}never-stored> ?b . }}")
+        plan, reason = compile_where(graph, query.where)
+        assert reason is None and plan.empty
+        assert len(Evaluator(graph).select(query)) == 0
+        for mode in (True, False):
+            ask = Evaluator(graph, compile=mode).ask
+            assert ask(f"ASK {{ ?a <{EX}never-stored> ?b . }}") is False
 
-    def test_property_path_not_compiled(self):
+    def test_property_path_has_no_batch_verdict(self):
+        from repro.store import Endpoint
+
         graph = build_graph([(0, 0, 1)])
         query = parse_query(f"SELECT * WHERE {{ ?a <{EX}p0>+ ?b . }}")
-        patterns = query.where.triple_patterns()
-        assert compile_bgp(graph, patterns) is None
-        # ...and the evaluator still answers through the interpreter.
-        assert len(Evaluator(graph, compile=True).select(query)) == 1
+        # The flat step lowering takes plain predicates only: the batch
+        # engine hands the candidate back undecided...
+        verdicts, stats = ask_bgp_batch(graph, [query.where.triple_patterns()])
+        assert verdicts == [None]
+        assert stats.candidates == 0
+        # ...and the caller's ordinary ASK answers it, like the interpreter.
+        endpoint = Endpoint(graph)
+        assert endpoint.ask_batch([f"ASK {{ ?a <{EX}p0>+ ?b . }}"]) == [True]
+        compiled = Evaluator(graph, compile=True).select(query)
+        assert compiled == Evaluator(graph, compile=False).select(query)
+        assert len(compiled) == 1
+        assert explain(graph, query).engine == "compiled"
 
     def test_plan_cache_reuse_and_epoch_invalidation(self):
         graph = build_graph([(0, 0, 1), (1, 0, 2)])

@@ -476,8 +476,8 @@ def _as_triple(ids) -> Triple:
 def test_recovery_is_exactly_the_acknowledged_prefix(ops):
     """Cut the WAL at every record boundary and inside records: recovery
     equals the state after exactly the whole records before the cut, and
-    the recovered columnar graph matches a dict-layout replica
-    (three-way: dict ≡ columnar ≡ recovered)."""
+    the recovered graph matches an in-memory replica that applied the
+    same prefix without any log."""
     base = tempfile.mkdtemp()
     try:
         d = os.path.join(base, "store")
@@ -513,13 +513,13 @@ def test_recovery_is_exactly_the_acknowledged_prefix(ops):
             recovered = DurableGraph.open(trial, fsync=False)
             k = sum(1 for b in boundaries[1:] if b <= cut)
             assert triples(recovered) == states[k], (cut, k)
-            # Three-way equivalence: replay the same acknowledged prefix
-            # into a dict-layout graph and compare through the facade.
-            dict_graph = Graph(layout="dict")
+            # Replay the same acknowledged prefix into a plain graph and
+            # compare through the facade.
+            replica = Graph()
             for op, ids in ops[:k]:
                 triple = _as_triple(ids)
-                dict_graph.add(triple) if op == "add" else dict_graph.remove(triple)
-            assert triples(dict_graph) == triples(recovered)
+                replica.add(triple) if op == "add" else replica.remove(triple)
+            assert triples(replica) == triples(recovered)
             recovered.close()
             shutil.rmtree(trial)
     finally:

@@ -42,6 +42,24 @@ class TestColumnStatistics:
         assert not symmetric.is_skewed
         assert skewed.is_skewed
 
+    def test_skewness_is_biased_fisher_pearson(self):
+        # mean 4; deviations -3, -2, -1, 6: m2 = 50/4, m3 = 180/4.
+        stats = column_statistics(make_results([1, 2, 3, 10]), "sum_num_applicants")
+        assert stats.skewness == pytest.approx(45 / 12.5**1.5)
+        assert stats.skewness == pytest.approx(1.0182337649086284)
+
+    def test_skewness_degenerate_columns(self):
+        import math
+
+        # Up to two values: no third moment to speak of.
+        assert column_statistics(make_results([7]), "sum_num_applicants").skewness == 0.0
+        assert column_statistics(make_results([1, 9]), "sum_num_applicants").skewness == 0.0
+        # A constant column has zero variance: the ratio is undefined,
+        # reported as NaN and never flagged as skewed.
+        constant = column_statistics(make_results([5, 5, 5, 5]), "sum_num_applicants")
+        assert math.isnan(constant.skewness)
+        assert not constant.is_skewed
+
     def test_empty_column_raises(self):
         rs = ResultSet([Variable("v")], [(None,), (Literal("text"),)])
         with pytest.raises(ValueError):

@@ -86,7 +86,6 @@ class TestRoundTrip:
         g.save_snapshot(path)
         loaded = Graph.load_snapshot(path)
         assert loaded.epoch == g.epoch
-        assert loaded.layout == "columnar"
         for p in g.predicates():
             assert loaded.predicate_stats(p) == g.predicate_stats(p)
         assert sorted(loaded.predicates()) == sorted(g.predicates())
@@ -98,16 +97,6 @@ class TestRoundTrip:
         a = Graph.load_snapshot(path)
         b = Graph.load_snapshot(path)
         assert len({g.uid, a.uid, b.uid}) == 3
-
-    def test_save_from_dict_layout(self, tmp_path):
-        source = tricky_graph()
-        g = Graph(layout="dict", triples=source.triples())
-        path = str(tmp_path / "d.snap")
-        g.save_snapshot(path)
-        loaded = Graph.load_snapshot(path)
-        assert sorted(loaded.triples()) == sorted(g.triples())
-        for p in g.predicates():
-            assert loaded.predicate_stats(p) == g.predicate_stats(p)
 
     def test_save_with_pending_delta_and_tombstones(self, tmp_path):
         g = Graph(flush_threshold=4)

@@ -22,10 +22,6 @@ compare exactly.  The term-space interpreter may emit another
 implementation-defined order for the same solutions (it walks property
 paths breadth-first from a different frontier, for one), so the
 cross-engine comparison is a multiset.
-
-The same file doubles as the stdlib-backend gate: CI re-runs it with
-``REPRO_NO_NUMPY=1``, which flips repro.sparql.vectorized to its
-pure-Python array paths at import time.
 """
 
 from hypothesis import given, settings
