@@ -106,7 +106,7 @@ def test_worker_scaling(graph, workload):
     reference = None
     for workers in (1, 4, 8):
         service = QueryService(graph, workers=workers,
-                               max_pending=len(workload))
+                               max_queue=len(workload))
         try:
             start = time.perf_counter()
             futures = [service.submit(q) for q in workload]

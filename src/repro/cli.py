@@ -52,6 +52,7 @@ from .datasets import generate_dbpedia, generate_eurostat, generate_production
 from .errors import ReproError
 from .qb import OBSERVATION_CLASS
 from .rdf import IRI
+from .resilience import with_resilience
 from .serving import QueryCache, QueryService
 from .store import Endpoint, Graph
 
@@ -345,6 +346,10 @@ class ExplorerShell:
             lines.append(f"  guarded calls   {snap.calls} "
                          f"(retries {snap.retries}, recovered {snap.recovered}, "
                          f"giveups {snap.giveups})")
+            breaker = getattr(self.endpoint, "breaker", None)
+            if breaker is not None:
+                lines.append(f"  breaker         {breaker.state} "
+                             f"({breaker.stats.trips} trips)")
             lines.append(f"  breaker sheds   {snap.breaker_rejections} "
                          f"(stale served {snap.stale_served})")
         events = getattr(self.endpoint, "events", None)
@@ -616,14 +621,15 @@ def _serve_main(args: argparse.Namespace, stdin: IO[str],
     # Resilience is wired per tenant by the server itself, so the service
     # runs undecorated here (cache_size forwarded: --cache-size 0 stays off).
     service = QueryService(endpoint, workers=args.workers,
-                           cache_size=args.cache_size)
+                           max_queue=args.max_queue,
+                           cache_size=args.cache_size,
+                           request_deadline=args.request_deadline)
     server = ReproServer(
         service, args.host, args.port,
         observation_class=IRI(args.observation_class),
         quota_rate=args.quota_rate, quota_burst=args.quota_burst,
-        max_queue=args.max_queue, retries=args.retries,
-        breaker=args.breaker, serve_stale=args.serve_stale,
-        request_deadline=args.request_deadline, own_service=True,
+        retries=args.retries, breaker=args.breaker,
+        serve_stale=args.serve_stale, own_service=True,
     )
     handle = ServerHandle(server).start()
     print(f"serving SPARQL at {handle.url}/sparql "
@@ -657,21 +663,12 @@ def main(argv: list[str] | None = None, stdin: IO[str] | None = None,
         return _snapshot_main(args, stdout)
     print("loading data and bootstrapping (one-off)...", file=stdout)
     endpoint, observation_class = build_endpoint(args)
-    retry = breaker = None
-    if args.retries:
-        from .resilience import RetryPolicy
-
-        retry = RetryPolicy(max_retries=args.retries)
-    if args.breaker or args.serve_stale:
-        from .resilience import CircuitBreaker
-
-        breaker = CircuitBreaker()
     # cache_size is forwarded so --cache-size 0 stays off: the service
     # adopts the endpoint's cache and must not substitute a default one.
-    service = QueryService(endpoint, workers=args.workers,
-                           cache_size=args.cache_size,
-                           retry=retry, breaker=breaker,
-                           serve_stale=args.serve_stale)
+    service = QueryService(
+        with_resilience(endpoint, args.retries, args.breaker,
+                        args.serve_stale),
+        workers=args.workers, cache_size=args.cache_size)
     # Bootstrap (schema crawl, session setup) runs against the clean
     # store; the fault schedule is armed for the interactive workload.
     chaos = endpoint if hasattr(endpoint, "disarm") else None

@@ -18,8 +18,9 @@ transient faults are routine, not exceptional.  This subsystem supplies:
   :class:`CircuitBreaker` over a sliding failure-rate window;
 * :mod:`repro.resilience.endpoint` — :class:`ResilientEndpoint`, the
   decorator threading retry + breaker (+ optional serve-stale answers)
-  under any endpoint consumer, and :func:`try_ask_batch`, the
-  partial-verdict batch probe graceful degradation is built on.
+  under any endpoint consumer, :func:`with_resilience`, which applies the
+  CLI's resilience flags, and :func:`try_ask_batch`, the partial-verdict
+  batch probe graceful degradation is built on.
 """
 
 from .breaker import (
@@ -31,7 +32,12 @@ from .breaker import (
     CircuitBreaker,
 )
 from .diskfaults import DiskFaultPlan, FaultyFS, SimulatedCrash
-from .endpoint import ResilienceStats, ResilientEndpoint, try_ask_batch
+from .endpoint import (
+    ResilienceStats,
+    ResilientEndpoint,
+    try_ask_batch,
+    with_resilience,
+)
 from .faults import FAULT_KINDS, OK, Fault, FaultEvent, FaultInjector, FaultPlan
 from .policy import RetryPolicy
 
@@ -55,4 +61,5 @@ __all__ = [
     "ResilientEndpoint",
     "RetryPolicy",
     "try_ask_batch",
+    "with_resilience",
 ]

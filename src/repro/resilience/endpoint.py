@@ -32,7 +32,8 @@ from ..store.endpoint import DEFAULT_TIMEOUT, Endpoint
 from .breaker import CircuitBreaker
 from .policy import RetryPolicy
 
-__all__ = ["ResilienceStats", "ResilientEndpoint", "try_ask_batch"]
+__all__ = ["ResilienceStats", "ResilientEndpoint", "try_ask_batch",
+           "with_resilience"]
 
 #: Errors that count against the breaker: the endpoint itself misbehaved.
 #: Deterministic errors (syntax, bad input) are evidence the endpoint is
@@ -212,6 +213,24 @@ class ResilientEndpoint:
 
     def __repr__(self) -> str:
         return f"<ResilientEndpoint over {self._inner!r}>"
+
+
+def with_resilience(endpoint, retries: int = 0, breaker: bool = False,
+                    serve_stale: bool = False):
+    """``endpoint`` decorated as the ``--retries``/``--breaker``/
+    ``--serve-stale`` flags ask, or unchanged when none is set.
+
+    Serve-stale implies a breaker: stale answers stand in for calls the
+    open breaker sheds.
+    """
+    if not (retries or breaker or serve_stale):
+        return endpoint
+    return ResilientEndpoint(
+        endpoint,
+        retry=RetryPolicy(max_retries=retries),
+        breaker=CircuitBreaker() if breaker or serve_stale else None,
+        serve_stale=serve_stale,
+    )
 
 
 def try_ask_batch(

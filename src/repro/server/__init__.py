@@ -7,33 +7,26 @@ wire protocol the ROADMAP's "millions of users" target needs:
   keep-alive and draining (graceful) shutdown;
 * :mod:`repro.server.protocol` — SPARQL 1.1 protocol query extraction
   and result-format content negotiation;
-* :mod:`repro.server.tenancy` — per-tenant token-bucket quotas and the
-  round-robin :class:`FairDispatcher` in front of the shared worker pool;
 * :mod:`repro.server.sessions` — the JSON session API driving
   :class:`~repro.core.session.ExplorationSession` steps remotely;
 * :mod:`repro.server.app` — :class:`ReproServer`, the routing/error-mapping
   layer, plus :class:`ServerHandle` / :func:`serve_in_thread` for running
   the event loop on a background thread (tests, CLI, benchmarks).
+
+Tenant lanes, quotas and the session table live in :mod:`repro.serving`.
 """
 
 from .app import DEFAULT_TENANT, TENANT_HEADER, ReproServer, ServerHandle, serve_in_thread
 from .http import HTTPError, HTTPServer, Request, Response
-from .sessions import ManagedSession, SessionRegistry
-from .tenancy import FairDispatcher, TenantStats, TokenBucket
 
 __all__ = [
     "DEFAULT_TENANT",
-    "FairDispatcher",
     "HTTPError",
     "HTTPServer",
-    "ManagedSession",
     "ReproServer",
     "Request",
     "Response",
     "ServerHandle",
-    "SessionRegistry",
     "TENANT_HEADER",
-    "TenantStats",
-    "TokenBucket",
     "serve_in_thread",
 ]

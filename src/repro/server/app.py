@@ -1,13 +1,12 @@
 """The SPARQL-protocol HTTP application over a :class:`QueryService`.
 
 :class:`ReproServer` is the wiring layer: it owns an
-:class:`~repro.server.http.HTTPServer`, a
-:class:`~repro.server.tenancy.FairDispatcher` over the service's worker
-pool, a per-tenant table of
+:class:`~repro.server.http.HTTPServer` and a per-tenant table of
 :class:`~repro.resilience.ResilientEndpoint` decorators (own retry
 budget, own circuit breaker, own serve-stale tier — one tenant's tripped
-breaker never sheds another tenant's queries), and the tenant-scoped
-:class:`~repro.server.sessions.SessionRegistry`.
+breaker never sheds another tenant's queries).  Every request runs on its
+tenant's lane of the service's worker pool, and sessions live in the
+service's tenant-scoped session table.
 
 Routes::
 
@@ -60,24 +59,25 @@ from ..errors import (
     ReproError,
     RequestShedError,
     ServiceShutdownError,
+    ServingError,
     SPARQLSyntaxError,
     TransientError,
 )
 from ..qb import OBSERVATION_CLASS
 from ..rdf import IRI
-from ..serving.service import QueryService
+from ..resilience import with_resilience
+from ..serving.executor import DEFAULT_TENANT
+from ..serving.service import ManagedSession, QueryService
 from ..store.endpoint import DEFAULT_TIMEOUT
 from ..store.graph import Graph
 from .http import HTTPError, HTTPServer, Request, Response
 from .protocol import extract_query, negotiate
-from .sessions import SessionRegistry, run_step, session_state
-from .tenancy import FairDispatcher
+from .sessions import run_step, session_state
 
 __all__ = ["ReproServer", "ServerHandle", "serve_in_thread"]
 
 #: Header carrying the tenant identity; absent means the shared tenant.
 TENANT_HEADER = "x-repro-tenant"
-DEFAULT_TENANT = "public"
 
 
 def _json_response(document: dict, status: int = 200,
@@ -95,7 +95,12 @@ def _error_document(status: int, kind: str, message: str) -> dict:
 
 
 class ReproServer:
-    """Asyncio HTTP front-end over one shared :class:`QueryService`."""
+    """Asyncio HTTP front-end over one shared :class:`QueryService`.
+
+    ``quota_rate``/``quota_burst`` are the token-bucket quota of every
+    tenant lane not given its own by :meth:`configure_tenant`; the lane
+    bound and request deadline are the service's.
+    """
 
     def __init__(
         self,
@@ -106,26 +111,17 @@ class ReproServer:
         observation_class: IRI = OBSERVATION_CLASS,
         quota_rate: float | None = None,
         quota_burst: float = 20.0,
-        max_queue: int = 64,
         retries: int = 0,
         breaker: bool = False,
         serve_stale: bool = False,
-        request_deadline: float | None = None,
         own_service: bool = False,
     ):
         self.service = service
         self.observation_class = observation_class
-        self.request_deadline = request_deadline
         self._own_service = own_service
         self._resilience_config = (retries, breaker, serve_stale)
         self._http = HTTPServer(self._handle, host, port)
-        self._dispatcher = FairDispatcher(
-            service.executor,
-            max_queue=max_queue,
-            quota_rate=quota_rate,
-            quota_burst=quota_burst,
-        )
-        self._sessions = SessionRegistry()
+        service.executor.default_quota = (quota_rate, quota_burst)
         self._endpoints: dict[str, object] = {}
         self._endpoints_lock = threading.Lock()
         self._stopped = False
@@ -148,20 +144,16 @@ class ReproServer:
         await self._http.start()
 
     async def stop(self) -> None:
-        """Graceful shutdown: drain HTTP, drain the dispatcher, then close.
+        """Graceful shutdown: drain HTTP, then (when owning the service)
+        drain and close the worker pool.
 
-        Ordering matters: in-flight HTTP handlers are awaiting dispatcher
-        futures, so the HTTP drain transitively waits for their queries;
-        the dispatcher drain then clears anything admitted but never
-        awaited, and only afterwards (when owning the service) is the
-        worker pool shut down.
+        In-flight HTTP handlers are awaiting their lane futures, so the
+        HTTP drain transitively waits for their queries.
         """
         if self._stopped:
             return
         self._stopped = True
         await self._http.stop()
-        await asyncio.get_running_loop().run_in_executor(
-            None, self._dispatcher.shutdown)
         if self._own_service:
             await asyncio.get_running_loop().run_in_executor(
                 None, self.service.shutdown)
@@ -170,44 +162,28 @@ class ReproServer:
 
     def configure_tenant(self, tenant: str, quota_rate: float | None,
                          quota_burst: float = 1.0) -> None:
-        self._dispatcher.configure_tenant(tenant, quota_rate, quota_burst)
+        self.service.executor.configure_tenant(tenant, quota_rate, quota_burst)
 
     def _tenant_endpoint(self, tenant: str):
         """This tenant's query interface over the shared guarded endpoint."""
         with self._endpoints_lock:
             endpoint = self._endpoints.get(tenant)
             if endpoint is None:
-                retries, breaker, serve_stale = self._resilience_config
-                if retries or breaker or serve_stale:
-                    from ..resilience import (
-                        CircuitBreaker,
-                        ResilientEndpoint,
-                        RetryPolicy,
-                    )
-
-                    endpoint = ResilientEndpoint(
-                        self.service.endpoint,
-                        retry=RetryPolicy(max_retries=retries) if retries else None,
-                        breaker=CircuitBreaker() if breaker or serve_stale else None,
-                        serve_stale=serve_stale,
-                    )
-                else:
-                    endpoint = self.service.endpoint
+                endpoint = with_resilience(self.service.endpoint,
+                                           *self._resilience_config)
                 self._endpoints[tenant] = endpoint
             return endpoint
 
-    def _deadline(self) -> float | None:
-        if self.request_deadline is None:
-            return None
-        import time
-
-        return time.monotonic() + self.request_deadline
-
     async def _dispatch(self, tenant: str, fn, /, *args, **kwargs):
-        """Run blocking engine work through the fair, quota-checked lane."""
-        future = self._dispatcher.submit(
-            tenant, fn, *args, deadline=self._deadline(), **kwargs)
-        return await asyncio.wrap_future(future)
+        """Run blocking engine work on the tenant's quota-checked lane."""
+        return await asyncio.wrap_future(
+            self.service.dispatch(fn, *args, tenant=tenant, **kwargs))
+
+    def _session(self, session_id: str, tenant: str) -> ManagedSession:
+        try:
+            return self.service.managed_session(session_id, tenant)
+        except ServingError:
+            raise HTTPError(404, f"no session {session_id!r}") from None
 
     # -- request handling --------------------------------------------------
 
@@ -263,7 +239,8 @@ class ReproServer:
             if request.method == "POST":
                 return await self._handle_open_session(request, tenant)
             if request.method == "GET":
-                return _json_response({"sessions": self._sessions.ids(tenant)})
+                return _json_response(
+                    {"sessions": self.service.session_ids(tenant)})
             raise HTTPError(405, f"method {request.method} not allowed")
         if path.startswith("/sessions/"):
             rest = path[len("/sessions/"):]
@@ -274,9 +251,12 @@ class ReproServer:
                 return await self._handle_step(request, tenant, session_id)
             if request.method == "GET":
                 return _json_response(
-                    session_state(self._sessions.get(rest, tenant)))
+                    session_state(self._session(rest, tenant)))
             if request.method == "DELETE":
-                self._sessions.close(rest, tenant)
+                try:
+                    self.service.close_session(rest, tenant)
+                except ServingError:
+                    raise HTTPError(404, f"no session {rest!r}") from None
                 return _json_response({"closed": rest})
             raise HTTPError(405, f"method {request.method} not allowed")
         if path == "/stats":
@@ -292,7 +272,7 @@ class ReproServer:
         writer, content_type = negotiate(request.header("accept"))
         endpoint = self._tenant_endpoint(tenant)
         if timeout is DEFAULT_TIMEOUT:
-            # Resolve the sentinel here, at the boundary: the dispatcher's
+            # Resolve the sentinel here, at the boundary: the pool's
             # deadline composition needs the real value, and an explicit
             # 0/None from the client must stay distinguishable from
             # "no preference".
@@ -329,30 +309,28 @@ class ReproServer:
             IRI(raw_class) if raw_class else self.observation_class)
         endpoint = self._tenant_endpoint(tenant)
 
-        def open_session():
-            service_id = self.service.open_session(
-                observation_class, endpoint=endpoint)
-            return self.service.session(service_id), service_id
+        def open_session() -> ManagedSession:
+            return self.service.managed_session(
+                self.service.open_session(observation_class,
+                                          endpoint=endpoint, tenant=tenant),
+                tenant)
 
         # Session bootstrap crawls the schema, so it runs on the tenant's
         # lane like any other query work.
-        session, service_id = await self._dispatch(tenant, open_session)
-        managed = self._sessions.create(tenant, session,
-                                        str(observation_class))
-        managed.service_id = service_id
+        managed = await self._dispatch(tenant, open_session)
         return _json_response(
             {
                 "session": managed.id,
                 "tenant": tenant,
-                "observation_class": str(observation_class),
-                "refinement_kinds": session.refinement_kinds(),
+                "observation_class": managed.observation_class,
+                "refinement_kinds": managed.session.refinement_kinds(),
             },
             status=201,
         )
 
     async def _handle_step(self, request: Request, tenant: str,
                            session_id: str) -> Response:
-        managed = self._sessions.get(session_id, tenant)
+        managed = self._session(session_id, tenant)
         payload = self._json_body(request)
         document = await self._dispatch(tenant, run_step, managed, payload)
         return _json_response(document)
@@ -362,10 +340,9 @@ class ReproServer:
     def stats_document(self) -> dict:
         serving = asdict(self.service.stats())
         endpoint_stats = self.service.endpoint.stats.snapshot()
-        executor = self.service.executor.stats
-        tenants: dict[str, dict] = {}
-        for name, stats in self._dispatcher.tenant_stats().items():
-            entry = asdict(stats)
+        executor = self.service.executor
+        tenants = executor.tenant_stats()
+        for name, entry in tenants.items():
             endpoint = self._endpoints.get(name)
             breaker = getattr(endpoint, "breaker", None)
             if breaker is not None:
@@ -376,7 +353,6 @@ class ReproServer:
                 snap = resilience.snapshot()
                 entry["retries"] = snap.retries
                 entry["stale_served"] = snap.stale_served
-            tenants[name] = entry
         cache = self.service.cache
         cache_tiers = {}
         if cache is not None and hasattr(cache, "stats"):
@@ -403,20 +379,12 @@ class ReproServer:
                 "fallback_aggregates": endpoint_stats.fallback_aggregates,
                 "decline_reasons": dict(endpoint_stats.decline_reasons),
             },
-            "executor": {
-                "workers": self.service.executor.workers,
-                "submitted": executor.submitted,
-                "completed": executor.completed,
-                "failed": executor.failed,
-                "rejected": executor.rejected,
-                "deadline_expired": executor.deadline_expired,
-                "in_flight": executor.in_flight,
-            },
+            "executor": {"workers": executor.workers, **executor.stats},
             "cache": cache_tiers,
             "tenants": tenants,
-            "sessions": len(self._sessions),
+            "sessions": serving["open_sessions"],
             "http": {"inflight": self._http.inflight,
-                     "pending": self._dispatcher.pending},
+                     "pending": executor.pending},
         }
         if callable(durability):
             document["durability"] = durability()

@@ -1,10 +1,10 @@
 """The JSON session API: exploration steps over the wire.
 
-Each HTTP session wraps one
-:class:`~repro.core.session.ExplorationSession` (driven through the
-shared :class:`~repro.serving.service.QueryService`) and belongs to one
-tenant — a session id never resolves for another tenant, so one analyst's
-exploration state is invisible to the next.
+Each HTTP session is one :class:`~repro.serving.service.ManagedSession`
+entry of the shared :class:`~repro.serving.service.QueryService`'s
+session table and belongs to one tenant — a session id never resolves for
+another tenant, so one analyst's exploration state is invisible to the
+next.
 
 Steps arrive as JSON ``{"action": ..., ...}`` documents and are executed
 under a per-session lock (an exploration is a sequential dialogue; two
@@ -17,72 +17,13 @@ exactly what an in-process driver would.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
-
 from ..core.olap_query import OLAPQuery
-from ..core.session import ExplorationSession, StepOutcome
+from ..core.session import StepOutcome
+from ..serving.service import ManagedSession
 from ..sparql.results import ResultSet, binding_json
 from .http import HTTPError
 
-__all__ = ["ManagedSession", "SessionRegistry", "run_step", "session_state"]
-
-
-@dataclass
-class ManagedSession:
-    """One HTTP-visible exploration session and its serving bookkeeping."""
-
-    id: str
-    tenant: str
-    session: ExplorationSession
-    observation_class: str
-    lock: threading.Lock = field(default_factory=threading.Lock)
-    #: last refinement menu per kind, so ``apply`` indexes stay stable
-    #: between a ``refinements`` call and the follow-up ``apply``.
-    proposals: dict[str, list] = field(default_factory=dict)
-    steps_taken: int = 0
-    service_id: str | None = None  # the QueryService-side session id
-
-
-class SessionRegistry:
-    """Tenant-scoped session table."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._sessions: dict[str, ManagedSession] = {}
-        self._seq = 0
-
-    def create(self, tenant: str, session: ExplorationSession,
-               observation_class: str) -> ManagedSession:
-        with self._lock:
-            self._seq += 1
-            sid = f"s{self._seq}"
-            managed = ManagedSession(sid, tenant, session, observation_class)
-            self._sessions[sid] = managed
-            return managed
-
-    def get(self, session_id: str, tenant: str) -> ManagedSession:
-        with self._lock:
-            managed = self._sessions.get(session_id)
-        # A foreign tenant's session id answers exactly like a missing one:
-        # existence must not leak across tenants.
-        if managed is None or managed.tenant != tenant:
-            raise HTTPError(404, f"no session {session_id!r}")
-        return managed
-
-    def close(self, session_id: str, tenant: str) -> None:
-        self.get(session_id, tenant)
-        with self._lock:
-            self._sessions.pop(session_id, None)
-
-    def ids(self, tenant: str) -> list[str]:
-        with self._lock:
-            return sorted(sid for sid, managed in self._sessions.items()
-                          if managed.tenant == tenant)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._sessions)
+__all__ = ["run_step", "session_state"]
 
 
 # -- JSON shapes -------------------------------------------------------------
@@ -131,8 +72,8 @@ def _outcome_json(outcome: StepOutcome) -> dict:
 def run_step(managed: ManagedSession, payload: dict) -> dict:
     """Execute one step document against a managed session; blocking.
 
-    Runs on a serving worker thread (dispatched through the fair
-    executor); the per-session lock serializes steps of one dialogue.
+    Runs on a serving worker thread (from the tenant's lane); the
+    per-session lock serializes steps of one dialogue.
     Endpoint faults are absorbed by the session's resilience contract and
     reported in the outcome; malformed step documents raise
     :class:`HTTPError` (→ 400) before touching the session.

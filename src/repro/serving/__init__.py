@@ -5,18 +5,20 @@ subsystem is the scaling substrate the ROADMAP's production north star
 builds on.  It layers three pieces over the in-process store:
 
 * :mod:`repro.serving.cache` — a thread-safe multi-tier LRU+TTL cache
-  (parsed ASTs, query results, keyword resolutions) invalidated by the
-  graph epoch counter;
-* :mod:`repro.serving.executor` — a bounded worker pool with admission
-  control, per-request deadlines, and a read-write lock;
+  (parsed ASTs, query results, keyword resolutions, compiled plans)
+  invalidated by the graph epoch counter;
+* :mod:`repro.serving.executor` — the one worker pool: per-tenant bounded
+  lanes with token-bucket quotas drained round-robin, per-request
+  deadlines, and a read-write lock;
 * :mod:`repro.serving.service` — :class:`QueryService`, which multiplexes
-  many concurrent exploration sessions over one shared store and exposes
-  aggregate throughput/latency/hit-rate statistics.
+  many concurrent exploration sessions over one shared store, keeps the
+  tenant-scoped session table, and exposes aggregate
+  throughput/latency/hit-rate statistics.
 """
 
 from .cache import MISS, CacheStats, LRUCache, QueryCache, timeout_class
-from .executor import ExecutorStats, RWLock, ServingExecutor
-from .service import QueryService, ServingStats
+from .executor import DEFAULT_TENANT, RWLock, ServingExecutor, TokenBucket
+from .service import ManagedSession, QueryService, ServingStats
 
 __all__ = [
     "CacheStats",
@@ -24,9 +26,11 @@ __all__ = [
     "MISS",
     "QueryCache",
     "timeout_class",
-    "ExecutorStats",
+    "DEFAULT_TENANT",
     "RWLock",
     "ServingExecutor",
+    "TokenBucket",
+    "ManagedSession",
     "QueryService",
     "ServingStats",
 ]

@@ -21,8 +21,10 @@ the same dataset.  The cache exploits that repetition at three tiers:
   directly through :attr:`Evaluator.plan_cache`).
 
 Correctness hinges on the graph **epoch** (:attr:`repro.store.Graph.epoch`):
-every mutation bumps it, the epoch is part of every result/keyword key, so
-stale entries can never be served — they simply age out of the LRU ring.
+every mutation bumps it, the epoch is part of every result/keyword/plan
+key, so stale entries can never be served.  They do not linger either:
+the first entry stored for a newer epoch of a graph drops that graph's
+older entries, and a late put for a superseded epoch is ignored.
 Each tier is an :class:`LRUCache`: an ``OrderedDict`` under a lock with
 optional TTL expiry, a size cap, and hit/miss/eviction statistics.
 """
@@ -84,6 +86,11 @@ class LRUCache:
     ``get`` returns :data:`MISS` on absence so that falsy values (``False``
     from ASK, empty result sets) are cacheable.  All operations take the
     internal lock, so one instance can serve many executor threads.
+
+    ``version(key) -> (graph uid, epoch)`` marks a tier whose keys carry
+    a graph version.  Such a tier holds only the newest epoch seen per
+    uid: storing a newer one drops the uid's older entries (counted as
+    ``expirations``), and a put for an older one is ignored.
     """
 
     def __init__(
@@ -91,6 +98,7 @@ class LRUCache:
         maxsize: int = 1024,
         ttl: float | None = None,
         clock: Callable[[], float] = time.monotonic,
+        version: Callable[[Hashable], tuple] | None = None,
     ):
         if maxsize < 1:
             raise ValueError("cache maxsize must be >= 1")
@@ -102,6 +110,32 @@ class LRUCache:
         self._data: OrderedDict[Hashable, tuple[Any, float | None]] = OrderedDict()
         self._lock = threading.Lock()
         self._stats = CacheStats()
+        self._version = version
+        #: uid -> (newest epoch, the keys stored under it)
+        self._live: dict[Hashable, tuple[Any, set]] = {}
+
+    def _admit(self, key: Hashable) -> bool:
+        """Index ``key`` under its version; False if that is superseded."""
+        uid, epoch = self._version(key)
+        live = self._live.get(uid)
+        if live is None or epoch > live[0]:
+            if live is not None:
+                for dead in live[1]:
+                    del self._data[dead]
+                self._stats.expirations += len(live[1])
+            live = self._live[uid] = (epoch, set())
+        elif epoch < live[0]:
+            return False
+        live[1].add(key)
+        return True
+
+    def _forget(self, key: Hashable) -> None:
+        """Drop ``key`` from the version index (it left ``_data``)."""
+        if self._version is not None:
+            uid, epoch = self._version(key)
+            live = self._live.get(uid)
+            if live is not None and live[0] == epoch:
+                live[1].discard(key)
 
     def get(self, key: Hashable) -> Any:
         with self._lock:
@@ -112,6 +146,7 @@ class LRUCache:
             value, expires_at = entry
             if expires_at is not None and self._clock() >= expires_at:
                 del self._data[key]
+                self._forget(key)
                 self._stats.expirations += 1
                 self._stats.misses += 1
                 return MISS
@@ -122,22 +157,29 @@ class LRUCache:
     def put(self, key: Hashable, value: Any) -> None:
         expires_at = None if self.ttl is None else self._clock() + self.ttl
         with self._lock:
+            if self._version is not None and not self._admit(key):
+                return
             self._stats.puts += 1
             if key in self._data:
                 self._data.move_to_end(key)
             self._data[key] = (value, expires_at)
             while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
+                evicted, _ = self._data.popitem(last=False)
+                self._forget(evicted)
                 self._stats.evictions += 1
 
     def invalidate(self, key: Hashable) -> bool:
         """Drop one entry; returns whether it was present."""
         with self._lock:
-            return self._data.pop(key, None) is not None
+            if self._data.pop(key, None) is None:
+                return False
+            self._forget(key)
+            return True
 
     def clear(self) -> None:
         with self._lock:
             self._data.clear()
+            self._live.clear()
 
     def __len__(self) -> int:
         with self._lock:
@@ -178,11 +220,14 @@ class QueryCache:
         clock: Callable[[], float] = time.monotonic,
     ):
         self.asts = LRUCache(max_asts, ttl=None, clock=clock)
-        self.results = LRUCache(max_results, ttl=ttl, clock=clock)
-        self.keywords = LRUCache(max_keywords, ttl=ttl, clock=clock)
+        self.results = LRUCache(max_results, ttl=ttl, clock=clock,
+                                version=lambda key: key[1])
+        self.keywords = LRUCache(max_keywords, ttl=ttl, clock=clock,
+                                 version=lambda key: key[2])
         # Plans are invalidated by their epoch component like results, but
         # never by TTL: a plan is pure compilation state, not data.
-        self.plans = LRUCache(max_plans, ttl=None, clock=clock)
+        self.plans = LRUCache(max_plans, ttl=None, clock=clock,
+                              version=lambda key: key[3:])
 
     # -- tier accessors ----------------------------------------------------
 

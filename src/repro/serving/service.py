@@ -6,11 +6,13 @@
   :class:`~repro.serving.cache.QueryCache` unless caching is disabled),
 * a :class:`~repro.serving.executor.RWLock` so any number of concurrent
   queries share the store while mutations run exclusively,
-* a :class:`~repro.serving.executor.ServingExecutor` for asynchronous
-  submission with admission control and per-request deadlines,
-* a session manager multiplexing many
+* the :class:`~repro.serving.executor.ServingExecutor` every queued
+  request runs on — in-process submissions on the default tenant's lane,
+  HTTP requests on their tenant's — with the one request deadline and
+  per-lane bound,
+* the one session table, multiplexing many
   :class:`~repro.core.session.ExplorationSession` instances — one per
-  analyst — over the shared endpoint, and
+  analyst, scoped to its tenant — over the shared endpoint, and
 * aggregate serving statistics: request counts, throughput, p50/p95
   latency, and the cache hit rate.
 
@@ -25,16 +27,20 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..errors import QueryTimeoutError, ServiceShutdownError, ServingError
 from ..store.dataset import GraphView
 from ..store.endpoint import DEFAULT_TIMEOUT, Endpoint
 from ..store.graph import Graph
 from .cache import QueryCache
-from .executor import RWLock, ServingExecutor
+from .executor import DEFAULT_TENANT, RWLock, ServingExecutor
 
-__all__ = ["QueryService", "ServingStats"]
+if TYPE_CHECKING:
+    from ..core.session import ExplorationSession
+
+__all__ = ["ManagedSession", "QueryService", "ServingStats"]
 
 #: How many recent request latencies feed the percentile estimates.
 _LATENCY_WINDOW = 8192
@@ -53,17 +59,9 @@ class ServingStats:
     p50_latency: float  # seconds; 0.0 before any request completes
     p95_latency: float
     cache_hit_rate: float
-    # Resilience (zero / None when the service runs without a
-    # ResilientEndpoint): see repro.resilience.
-    shed_requests: int = 0  # queued requests dropped after deadline expiry
-    retries: int = 0  # transient faults retried by the resilient endpoint
-    breaker_state: str | None = None  # closed / open / half-open
-    breaker_trips: int = 0
-    breaker_rejections: int = 0  # calls shed by the open breaker
-    stale_served: int = 0  # shed calls answered from the stale tier
 
     def pretty(self) -> str:
-        lines = [
+        return "\n".join([
             f"requests        {self.requests}",
             f"errors          {self.errors} ({self.timeouts} timeouts)",
             f"open sessions   {self.open_sessions}",
@@ -72,18 +70,23 @@ class ServingStats:
             f"latency p50     {self.p50_latency * 1000:.2f}ms",
             f"latency p95     {self.p95_latency * 1000:.2f}ms",
             f"cache hit rate  {self.cache_hit_rate * 100:.1f}%",
-            f"shed (queue)    {self.shed_requests}",
-        ]
-        if self.breaker_state is not None:
-            lines.append(
-                f"breaker         {self.breaker_state} "
-                f"({self.breaker_trips} trips, "
-                f"{self.breaker_rejections} shed, "
-                f"{self.stale_served} stale answers)"
-            )
-        if self.retries or self.breaker_state is not None:
-            lines.append(f"retries         {self.retries}")
-        return "\n".join(lines)
+        ])
+
+
+@dataclass
+class ManagedSession:
+    """One entry of the session table: an exploration and its bookkeeping."""
+
+    id: str
+    tenant: str
+    session: ExplorationSession
+    observation_class: str
+    #: serializes the steps of one dialogue across worker threads
+    lock: threading.Lock = field(default_factory=threading.Lock)
+    #: last refinement menu per kind, so ``apply`` indexes stay stable
+    #: between a ``refinements`` call and the follow-up ``apply``.
+    proposals: dict[str, list] = field(default_factory=dict)
+    steps_taken: int = 0
 
 
 def _percentile(sorted_values: list[float], fraction: float) -> float:
@@ -134,6 +137,11 @@ class _GuardedEndpoint:
     def resilience(self):
         """Resilience counters when the inner endpoint is resilient."""
         return getattr(self._inner, "resilience", None)
+
+    @property
+    def breaker(self):
+        """The circuit breaker when the inner endpoint has one."""
+        return getattr(self._inner, "breaker", None)
 
     @property
     def events(self):
@@ -202,66 +210,48 @@ class QueryService:
 
     ``cache=None`` with ``cache_size > 0`` (the default) builds a
     :class:`QueryCache`; pass ``cache_size=0`` to serve uncached.
+    ``max_queue`` bounds each tenant's lane of waiting requests, and
+    ``request_deadline`` (seconds, queueing included) caps every queued
+    request.  Retries and circuit breaking come from passing a
+    :class:`~repro.resilience.ResilientEndpoint` as ``target``.
     """
 
     def __init__(
         self,
         target: Graph | GraphView | Endpoint,
         workers: int = 4,
-        max_pending: int | None = None,
+        max_queue: int = 64,
         cache: QueryCache | None = None,
         cache_size: int = 4096,
         default_timeout: float | None = None,
         request_deadline: float | None = None,
-        retry: "RetryPolicy | None" = None,
-        breaker: "CircuitBreaker | None" = None,
-        serve_stale: bool = False,
-        vectorize: bool = True,
-        batch_size: int | None = None,
-        parallel: int | None = None,
     ):
         if cache is None and cache_size > 0:
             cache = QueryCache(max_results=cache_size)
         self.cache = cache
         if isinstance(target, (Graph, GraphView)):
             self._endpoint = Endpoint(
-                target, default_timeout=default_timeout, cache=cache,
-                vectorize=vectorize, batch_size=batch_size, parallel=parallel,
-            )
+                target, default_timeout=default_timeout, cache=cache)
         else:
             # An Endpoint, or anything endpoint-shaped (a FaultInjector,
-            # an already-wrapped ResilientEndpoint, ...).
+            # a ResilientEndpoint, ...).
             self._endpoint = target
             if (cache is not None and target.cache is None
                     and isinstance(target, Endpoint)):
                 target.cache = cache
             else:
                 self.cache = target.cache
-        # Optional resilience decoration: retries for transient faults, a
-        # circuit breaker shedding calls to a persistently failing store,
-        # and (with serve_stale) answers from the last-known-good results
-        # while the breaker is open.
-        self._resilient = None
-        if retry is not None or breaker is not None or serve_stale:
-            from ..resilience import ResilientEndpoint
-
-            self._resilient = ResilientEndpoint(
-                self._endpoint, retry=retry, breaker=breaker,
-                serve_stale=serve_stale,
-            )
         self.request_deadline = request_deadline
         self._rwlock = RWLock()
-        self._executor = ServingExecutor(workers=workers, max_pending=max_pending)
-        self._guarded = _GuardedEndpoint(
-            self, self._resilient if self._resilient is not None else self._endpoint
-        )
+        self._executor = ServingExecutor(workers=workers, max_queue=max_queue)
+        self._guarded = _GuardedEndpoint(self, self._endpoint)
         self._stats_lock = threading.Lock()
         self._latencies: deque[float] = deque(maxlen=_LATENCY_WINDOW)
         self._requests = 0
         self._errors = 0
         self._timeouts = 0
         self._started_at = time.monotonic()
-        self._sessions: dict[str, object] = {}
+        self._sessions: dict[str, ManagedSession] = {}
         self._session_seq = 0
         self._vgraphs: dict[object, object] = {}
         self._vgraph_lock = threading.Lock()
@@ -275,13 +265,8 @@ class QueryService:
         return self._guarded
 
     @property
-    def resilient(self):
-        """The ResilientEndpoint decorator, or None when not configured."""
-        return self._resilient
-
-    @property
     def executor(self) -> ServingExecutor:
-        """The shared worker pool (the HTTP front-end dispatches onto it)."""
+        """The shared worker pool and its tenant lanes."""
         return self._executor
 
     def execute(self, text: str, timeout=DEFAULT_TIMEOUT):
@@ -289,12 +274,22 @@ class QueryService:
         self._check_open()
         return self._guarded.query(text, timeout=timeout)
 
-    def submit(self, text: str, timeout=DEFAULT_TIMEOUT):
-        """Queue one query string on the worker pool; returns a Future.
+    def dispatch(self, fn, /, *args, tenant: str = DEFAULT_TENANT, **kwargs):
+        """Queue ``fn(*args, **kwargs)`` on ``tenant``'s lane; returns a
+        Future.  With a ``request_deadline`` configured, time spent queued
+        counts against the request's evaluation budget."""
+        deadline = (
+            None
+            if self.request_deadline is None
+            else time.monotonic() + self.request_deadline
+        )
+        return self._executor.submit(fn, *args, tenant=tenant,
+                                     deadline=deadline, **kwargs)
 
-        Raises :class:`~repro.errors.AdmissionError` when the bounded
-        queue is full.  With a ``request_deadline`` configured, time spent
-        queued counts against the request's evaluation budget.
+    def submit(self, text: str, timeout=DEFAULT_TIMEOUT):
+        """Queue one query string on the default tenant's lane.
+
+        Raises :class:`~repro.errors.AdmissionError` when the lane is full.
 
         The ``DEFAULT_TIMEOUT`` sentinel is resolved to the endpoint's
         configured default *before* submission: the executor's deadline
@@ -308,16 +303,9 @@ class QueryService:
         and leaves only the request deadline.
         """
         self._check_open()
-        deadline = (
-            None
-            if self.request_deadline is None
-            else time.monotonic() + self.request_deadline
-        )
         if timeout is DEFAULT_TIMEOUT:
             timeout = self._guarded.default_timeout
-        return self._executor.submit(
-            self._guarded.query, text, timeout=timeout, deadline=deadline
-        )
+        return self.dispatch(self._guarded.query, text, timeout=timeout)
 
     def mutate(self, fn):
         """Apply ``fn(graph)`` under the write lock; returns its result.
@@ -349,8 +337,10 @@ class QueryService:
             return vgraph
 
     def open_session(self, observation_class, session_id: str | None = None,
-                     endpoint=None, **session_kwargs) -> str:
-        """Create a managed exploration session; returns its id.
+                     endpoint=None, tenant: str = DEFAULT_TENANT,
+                     **session_kwargs) -> str:
+        """Create a managed exploration session for ``tenant``; returns
+        its id.
 
         ``endpoint`` overrides the session's query interface — the HTTP
         front-end passes a per-tenant resilient decorator *over* the
@@ -370,23 +360,37 @@ class QueryService:
                 session_id = f"s{self._session_seq}"
             if session_id in self._sessions:
                 raise ServingError(f"session {session_id!r} already open")
-            self._sessions[session_id] = session
+            self._sessions[session_id] = ManagedSession(
+                session_id, tenant, session, str(observation_class))
         return session_id
 
-    def session(self, session_id: str):
-        try:
-            return self._sessions[session_id]
-        except KeyError:
-            raise ServingError(f"no open session {session_id!r}") from None
+    def _find(self, session_id: str, tenant: str) -> ManagedSession:
+        managed = self._sessions.get(session_id)
+        # A foreign tenant's session id answers exactly like a missing one:
+        # existence must not leak across tenants.
+        if managed is None or managed.tenant != tenant:
+            raise ServingError(f"no open session {session_id!r}")
+        return managed
 
-    def close_session(self, session_id: str) -> None:
+    def managed_session(self, session_id: str,
+                        tenant: str = DEFAULT_TENANT) -> ManagedSession:
+        """The table entry of one of ``tenant``'s sessions."""
         with self._stats_lock:
-            if self._sessions.pop(session_id, None) is None:
-                raise ServingError(f"no open session {session_id!r}")
+            return self._find(session_id, tenant)
 
-    def session_ids(self) -> list[str]:
+    def session(self, session_id: str, tenant: str = DEFAULT_TENANT):
+        """The ExplorationSession behind one of ``tenant``'s session ids."""
+        return self.managed_session(session_id, tenant).session
+
+    def close_session(self, session_id: str,
+                      tenant: str = DEFAULT_TENANT) -> None:
         with self._stats_lock:
-            return sorted(self._sessions)
+            del self._sessions[self._find(session_id, tenant).id]
+
+    def session_ids(self, tenant: str = DEFAULT_TENANT) -> list[str]:
+        with self._stats_lock:
+            return sorted(sid for sid, managed in self._sessions.items()
+                          if managed.tenant == tenant)
 
     # -- statistics --------------------------------------------------------
 
@@ -409,17 +413,6 @@ class QueryService:
             timeouts = self._timeouts
             open_sessions = len(self._sessions)
         uptime = max(time.monotonic() - self._started_at, 1e-9)
-        shed = self._executor.stats.deadline_expired
-        breaker_state = None
-        retries = breaker_trips = breaker_rejections = stale_served = 0
-        if self._resilient is not None:
-            resilience = self._resilient.resilience.snapshot()
-            retries = resilience.retries
-            breaker_rejections = resilience.breaker_rejections
-            stale_served = resilience.stale_served
-            if self._resilient.breaker is not None:
-                breaker_state = self._resilient.breaker.state
-                breaker_trips = self._resilient.breaker.stats.trips
         return ServingStats(
             requests=requests,
             errors=errors,
@@ -430,17 +423,7 @@ class QueryService:
             p50_latency=_percentile(latencies, 0.50),
             p95_latency=_percentile(latencies, 0.95),
             cache_hit_rate=self.cache.hit_rate if self.cache else 0.0,
-            shed_requests=shed,
-            retries=retries,
-            breaker_state=breaker_state,
-            breaker_trips=breaker_trips,
-            breaker_rejections=breaker_rejections,
-            stale_served=stale_served,
         )
-
-    @property
-    def executor_stats(self):
-        return self._executor.stats
 
     # -- lifecycle ---------------------------------------------------------
 

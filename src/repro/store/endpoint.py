@@ -26,6 +26,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
+from ..errors import QueryTimeoutError
 from ..rdf.terms import IRI, Literal, Node
 from ..sparql.ast import AskQuery, ConstructQuery, Query, SelectQuery
 from ..sparql.batch import simple_bgp as _simple_bgp
@@ -277,83 +278,53 @@ class Endpoint:
 
     # -- querying -----------------------------------------------------------
 
-    def select(self, query: SelectQuery | str, timeout=DEFAULT_TIMEOUT) -> ResultSet:
-        """Run a SELECT query (AST or text)."""
-        self._count("select_queries")
-        timeout = self._resolve_timeout(timeout)
+    def _cached(self, kind: str, query, timeout, evaluate,
+                store=lambda result: result, load=lambda value: value):
+        """The one cached-call path behind :meth:`select`/:meth:`ask`/
+        :meth:`construct`: count the call, look the result up, else
+        evaluate and cache it.  ``store`` turns a fresh result into its
+        cached form; ``load`` turns a cached value into the caller's copy.
+        """
         from ..serving.cache import MISS
 
-        key = self._result_key(query, "select", timeout)
+        self._count(f"{kind}_queries")
+        timeout = self._resolve_timeout(timeout)
+        key = self._result_key(query, kind, timeout)
         if key is not None:
             cached = self.cache.get_result(key)
             if cached is not MISS:
                 self._count("cache_hits")
-                # Copy: ResultSet rows/variables are mutable lists and the
-                # cached instance must survive caller-side edits.
-                return ResultSet(cached.variables, cached.rows)
+                return load(cached)
         if isinstance(query, str):
             query = self._parse(query)
-        from ..errors import QueryTimeoutError
-
         try:
-            result = self._evaluator.select(query, timeout=timeout)
+            result = evaluate(query, timeout=timeout)
         except QueryTimeoutError:
             self._count("timeouts")
             raise
         if key is not None:
-            self.cache.put_result(key, result)
+            self.cache.put_result(key, store(result))
         return result
+
+    def select(self, query: SelectQuery | str, timeout=DEFAULT_TIMEOUT) -> ResultSet:
+        """Run a SELECT query (AST or text)."""
+        # Copy: ResultSet rows/variables are mutable lists and the cached
+        # instance must survive caller-side edits.
+        return self._cached("select", query, timeout, self._evaluator.select,
+                            load=lambda cached: ResultSet(cached.variables,
+                                                          cached.rows))
 
     def ask(self, query: AskQuery | str, timeout=DEFAULT_TIMEOUT) -> bool:
         """Run an ASK query (AST or text)."""
-        self._count("ask_queries")
-        timeout = self._resolve_timeout(timeout)
-        from ..serving.cache import MISS
-
-        key = self._result_key(query, "ask", timeout)
-        if key is not None:
-            cached = self.cache.get_result(key)
-            if cached is not MISS:
-                self._count("cache_hits")
-                return cached
-        if isinstance(query, str):
-            query = self._parse(query)
-        from ..errors import QueryTimeoutError
-
-        try:
-            result = self._evaluator.ask(query, timeout=timeout)
-        except QueryTimeoutError:
-            self._count("timeouts")
-            raise
-        if key is not None:
-            self.cache.put_result(key, result)
-        return result
+        return self._cached("ask", query, timeout, self._evaluator.ask)
 
     def construct(self, query: ConstructQuery | str, timeout=DEFAULT_TIMEOUT):
         """Run a CONSTRUCT query; returns a new :class:`Graph`."""
-        self._count("construct_queries")
-        timeout = self._resolve_timeout(timeout)
-        from ..serving.cache import MISS
-
-        key = self._result_key(query, "construct", timeout)
-        if key is not None:
-            cached = self.cache.get_result(key)
-            if cached is not MISS:
-                self._count("cache_hits")
-                # Cached as a triple tuple; each hit gets a private graph.
-                return Graph(triples=cached)
-        if isinstance(query, str):
-            query = self._parse(query)
-        from ..errors import QueryTimeoutError
-
-        try:
-            result = self._evaluator.construct(query, timeout=timeout)
-        except QueryTimeoutError:
-            self._count("timeouts")
-            raise
-        if key is not None:
-            self.cache.put_result(key, tuple(result.triples()))
-        return result
+        # Cached as a triple tuple; each hit gets a private graph.
+        return self._cached("construct", query, timeout,
+                            self._evaluator.construct,
+                            store=lambda graph: tuple(graph.triples()),
+                            load=lambda triples: Graph(triples=triples))
 
     def query(self, text: str, timeout=DEFAULT_TIMEOUT):
         """Parse and dispatch a query string.
@@ -410,7 +381,6 @@ class Endpoint:
                     batchable.append(index)
                     bgps.append(patterns)
         if bgps:
-            from ..errors import QueryTimeoutError
             from ..sparql.batch import ask_bgp_batch, order_batch
 
             self._count("batch_asks")

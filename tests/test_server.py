@@ -7,8 +7,9 @@ Covers the four serving promises of :mod:`repro.server`:
 * the JSON session API is *transparent*: a dialogue driven over HTTP
   produces exactly the candidates, results, and history an in-process
   :class:`ExplorationSession` produces;
-* tenancy — token-bucket quotas answer 429 with Retry-After, and the fair
-  dispatcher's round-robin keeps a hot tenant from starving a slow one;
+* tenancy — token-bucket quotas answer 429 with Retry-After, and the
+  pool's round-robin over tenant lanes keeps a hot tenant from starving a
+  slow one;
 * graceful shutdown loses zero in-flight responses.
 
 The servers run on an event-loop thread (``serve_in_thread``) and the
@@ -30,14 +31,8 @@ from repro.core import ExplorationSession
 from repro.errors import QueryTimeoutError
 from repro.qb import OBSERVATION_CLASS
 from repro.resilience import FaultInjector, FaultPlan
-from repro.server import (
-    DEFAULT_TENANT,
-    FairDispatcher,
-    TokenBucket,
-    serve_in_thread,
-)
-from repro.serving import QueryService
-from repro.serving.executor import ServingExecutor
+from repro.server import DEFAULT_TENANT, serve_in_thread
+from repro.serving import QueryService, TokenBucket
 from repro.sparql.results import to_csv, to_sparql_json, to_tsv
 
 SELECT_Q = (
@@ -380,6 +375,38 @@ class TestSessionAPI:
     def test_unknown_session_is_404(self, client):
         assert client.json("GET", "/sessions/s999999")[0] == 404
 
+    def test_closed_sessions_are_freed(self, mini_kg):
+        service = QueryService(mini_kg.endpoint(), workers=2)
+        handle = serve_in_thread(service, own_service=True)
+        try:
+            client, mallory = Client(handle), Client(handle, tenant="mallory")
+            sids = [self._open(client)["session"] for _ in range(5)]
+            # A foreign tenant can neither see nor close a live session.
+            assert mallory.json("GET", f"/sessions/{sids[0]}")[0] == 404
+            assert mallory.json("DELETE", f"/sessions/{sids[0]}")[0] == 404
+            assert client.json("GET", f"/sessions/{sids[0]}")[0] == 200
+            for sid in sids:
+                assert client.json("DELETE", f"/sessions/{sid}")[0] == 200
+            _, stats = client.json("GET", "/stats")
+            assert stats["sessions"] == stats["serving"]["open_sessions"] == 0
+            assert service.session_ids() == []
+        finally:
+            handle.close()
+
+    def test_sessions_run_under_a_request_deadline(self, mini_kg):
+        service = QueryService(mini_kg.endpoint(), workers=2,
+                               request_deadline=30.0)
+        handle = serve_in_thread(service, own_service=True)
+        try:
+            client = Client(handle)
+            sid = self._open(client)["session"]
+            status, step = client.json(
+                "POST", f"/sessions/{sid}/steps",
+                {"action": "synthesize", "values": ["Germany"]})
+            assert status == 200 and step["ok"]
+        finally:
+            handle.close()
+
 
 # -- tenancy: quotas and fairness --------------------------------------------
 
@@ -424,80 +451,6 @@ class TestQuotaOverHTTP:
         assert Client(server).sparql(ASK_Q)[0] == 200
         _, stats = Client(server).json("GET", "/stats")
         assert stats["tenants"]["metered"]["quota_denied"] == 1
-
-
-class TestFairDispatcher:
-    def test_round_robin_beats_a_hot_backlog(self):
-        """A single queued slow-tenant task runs within one round-robin
-        cycle, not behind the hot tenant's whole backlog."""
-        executor = ServingExecutor(workers=1)
-        dispatcher = FairDispatcher(executor, max_queue=128)
-        order: list[str] = []
-        lock = threading.Lock()
-
-        def task(tag):
-            time.sleep(0.005)
-            with lock:
-                order.append(tag)
-            return tag
-
-        try:
-            hot = [dispatcher.submit("hot", task, f"hot-{i}")
-                   for i in range(20)]
-            deadline = time.monotonic() + 5
-            while not order and time.monotonic() < deadline:
-                time.sleep(0.001)  # let the backlog start draining
-            slow = dispatcher.submit("slow", task, "slow")
-            assert slow.result(timeout=10) == "slow"
-            for future in hot:
-                future.result(timeout=10)
-            with lock:
-                position = order.index("slow")
-            # FIFO would put it at position 20; fair dispatch runs it on
-            # the next cycle (a little slack for dispatch-loop races).
-            assert position <= 4, f"slow tenant starved: order={order}"
-            stats = dispatcher.tenant_stats()
-            assert stats["hot"].completed == 20
-            assert stats["slow"].completed == 1
-        finally:
-            dispatcher.shutdown()
-            executor.shutdown()
-
-    def test_lane_overflow_is_admission_error(self):
-        from repro.errors import AdmissionError
-
-        executor = ServingExecutor(workers=1)
-        dispatcher = FairDispatcher(executor, max_queue=2)
-        gate = threading.Event()
-        try:
-            futures = []
-            for _ in range(8):
-                try:
-                    futures.append(dispatcher.submit("t", gate.wait, 5))
-                except AdmissionError:
-                    break
-            else:
-                pytest.fail("lane never filled")
-            assert dispatcher.tenant_stats()["t"].rejected >= 1
-            gate.set()
-            for future in futures:
-                future.result(timeout=10)
-        finally:
-            gate.set()
-            dispatcher.shutdown()
-            executor.shutdown()
-
-    def test_shutdown_drains_queued_work(self):
-        executor = ServingExecutor(workers=1)
-        dispatcher = FairDispatcher(executor)
-        futures = [dispatcher.submit("t", lambda i=i: i) for i in range(10)]
-        dispatcher.shutdown(wait=True)
-        assert [f.result(timeout=1) for f in futures] == list(range(10))
-        from repro.errors import ServiceShutdownError
-
-        with pytest.raises(ServiceShutdownError):
-            dispatcher.submit("t", lambda: None)
-        executor.shutdown()
 
 
 class TestFairnessOverHTTP:

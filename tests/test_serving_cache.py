@@ -99,6 +99,21 @@ class TestLRUCache:
         cache.get("zzz")
         assert cache.stats.hit_rate == pytest.approx(0.5)
 
+    def test_newer_epoch_purges_older_entries_of_its_graph(self):
+        cache = LRUCache(maxsize=8, version=lambda key: key[1])
+        for text in "abc":
+            cache.put((text, ("g1", 1)), text)
+        cache.put(("a", ("g2", 1)), "other graph")
+        cache.put(("a", ("g1", 2)), "new")
+        # Only the dead epoch's entries went, counted as expirations.
+        assert len(cache) == 2
+        assert cache.stats.expirations == 3 and cache.stats.evictions == 0
+        assert cache.get(("a", ("g2", 1))) == "other graph"
+        # A late put for the superseded epoch is ignored.
+        cache.put(("b", ("g1", 1)), "late")
+        assert cache.get(("b", ("g1", 1))) is MISS
+        assert len(cache) == 2
+
 
 class TestQueryCacheKeys:
     def test_timeout_class_buckets(self):
@@ -266,6 +281,13 @@ operations = st.lists(
 )
 
 
+def epochs_held(cache: QueryCache) -> set:
+    """The graph epochs of every entry in the versioned tiers."""
+    return ({key[1][1] for key in cache.results._data}
+            | {key[2][1] for key in cache.keywords._data}
+            | {key[4] for key in cache.plans._data})
+
+
 @settings(max_examples=40, deadline=None)
 @given(ops=operations)
 def test_cached_equals_uncached_over_random_workloads(ops):
@@ -280,6 +302,10 @@ def test_cached_equals_uncached_over_random_workloads(ops):
         else:
             text = QUERY_POOL[arg]
             assert cached.query(text) == uncached.query(text)
+            # A query after a mutation stores the new epoch, which drops
+            # every entry of the old one.
+            assert epochs_held(cached.cache) == {graph.epoch}
     # Final sweep: every pool query agrees after all mutations.
     for text in QUERY_POOL:
         assert cached.query(text) == uncached.query(text)
+    assert epochs_held(cached.cache) == {graph.epoch}

@@ -6,6 +6,7 @@ exactly the results a serial, uncached run produces — concurrency plus
 caching must be invisible to correctness.
 """
 
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -16,13 +17,20 @@ from repro.core import ExplorationSession, VirtualSchemaGraph
 from repro.errors import (
     AdmissionError,
     QueryTimeoutError,
+    RequestShedError,
     ServiceShutdownError,
     ServingError,
 )
 from repro.qb import OBSERVATION_CLASS
 from repro.rdf import IRI, Literal
 from repro.rdf.triple import Triple
-from repro.serving import QueryCache, QueryService, RWLock, ServingExecutor
+from repro.serving import (
+    DEFAULT_TENANT,
+    QueryCache,
+    QueryService,
+    RWLock,
+    ServingExecutor,
+)
 from repro.store import Endpoint, Graph
 
 
@@ -48,30 +56,59 @@ class TestServingExecutor:
             futures = [pool.submit(lambda x: x * 2, i) for i in range(10)]
             assert sorted(f.result() for f in futures) == [2 * i for i in range(10)]
         stats = pool.stats
-        assert stats.submitted == 10 and stats.completed == 10
-        assert stats.rejected == 0 and stats.in_flight == 0
+        assert stats["submitted"] == 10 and stats["completed"] == 10
+        assert stats["rejected"] == 0 and pool.pending == 0
 
     def test_admission_control_rejects_when_full(self):
-        release = threading.Event()
-        with ServingExecutor(workers=1, max_pending=0) as pool:
-            blocker = pool.submit(release.wait)
+        started, release = threading.Event(), threading.Event()
+
+        def blocker():
+            started.set()
+            release.wait(5)
+
+        with ServingExecutor(workers=1, max_queue=1) as pool:
+            running = pool.submit(blocker)
+            assert started.wait(5)
+            queued = pool.submit(lambda: None)
             with pytest.raises(AdmissionError):
                 pool.submit(lambda: None)
-            assert pool.stats.rejected == 1
+            assert pool.stats["rejected"] == 1
             release.set()
-            blocker.result(timeout=5)
-            # Slot freed: admission works again.
+            running.result(timeout=5)
+            queued.result(timeout=5)
+            # Lane drained: admission works again.
             assert pool.submit(lambda: 42).result(timeout=5) == 42
+
+    def test_lane_overflow_is_admission_error(self):
+        gate = threading.Event()
+        with ServingExecutor(workers=1, max_queue=2) as pool:
+            futures = []
+            try:
+                for _ in range(8):
+                    try:
+                        futures.append(pool.submit(gate.wait, 5, tenant="t"))
+                    except AdmissionError:
+                        break
+                else:
+                    pytest.fail("lane never filled")
+                # The bound is per lane: another tenant still gets in.
+                futures.append(pool.submit(lambda: "other", tenant="u"))
+                assert pool.tenant_stats()["t"]["rejected"] == 1
+                assert pool.tenant_stats()["u"]["rejected"] == 0
+            finally:
+                gate.set()
+            for future in futures:
+                future.result(timeout=10)
 
     def test_expired_deadline_fails_without_running(self):
         ran = []
         with ServingExecutor(workers=1) as pool:
             future = pool.submit(lambda **kw: ran.append(1),
                                  deadline=time.monotonic() - 0.1)
-            with pytest.raises(QueryTimeoutError):
+            with pytest.raises(RequestShedError):
                 future.result(timeout=5)
         assert not ran
-        assert pool.stats.deadline_expired == 1
+        assert pool.stats["shed"] == 1
 
     def test_deadline_tightens_cooperative_timeout(self):
         seen = {}
@@ -85,6 +122,10 @@ class TestServingExecutor:
             future = pool.submit(work, timeout=100.0,
                                  deadline=time.monotonic() + 1.0)
             assert future.result(timeout=5) == "ok"
+            # Work that takes no timeout keeps its signature.
+            assert pool.submit(lambda: "plain",
+                               deadline=time.monotonic() + 1.0
+                               ).result(timeout=5) == "plain"
         assert seen["timeout"] <= 1.0
 
     def test_submit_after_shutdown_raises(self):
@@ -94,12 +135,48 @@ class TestServingExecutor:
             pool.submit(lambda: None)
 
     def test_failed_tasks_release_slots(self):
-        with ServingExecutor(workers=1, max_pending=0) as pool:
+        with ServingExecutor(workers=1, max_queue=1) as pool:
             for _ in range(5):
                 future = pool.submit(lambda: 1 / 0)
                 with pytest.raises(ZeroDivisionError):
                     future.result(timeout=5)
-        assert pool.stats.failed == 5
+        assert pool.stats["errors"] == 5
+
+    def test_round_robin_beats_a_hot_backlog(self):
+        """A single queued slow-tenant task runs within one round-robin
+        cycle, not behind the hot tenant's whole backlog."""
+        order: list[str] = []
+        lock = threading.Lock()
+
+        def task(tag):
+            time.sleep(0.005)
+            with lock:
+                order.append(tag)
+            return tag
+
+        with ServingExecutor(workers=1, max_queue=128) as pool:
+            hot = [pool.submit(task, f"hot-{i}", tenant="hot")
+                   for i in range(20)]
+            deadline = time.monotonic() + 5
+            while not order and time.monotonic() < deadline:
+                time.sleep(0.001)  # let the backlog start draining
+            slow = pool.submit(task, "slow", tenant="slow")
+            assert slow.result(timeout=10) == "slow"
+            for future in hot:
+                future.result(timeout=10)
+        position = order.index("slow")
+        # FIFO would put it at position 20; round-robin runs it on the
+        # next cycle (a little slack for the polling loop above).
+        assert position <= 4, f"slow tenant starved: order={order}"
+        stats = pool.tenant_stats()
+        assert stats["hot"]["completed"] == 20
+        assert stats["slow"]["completed"] == 1
+
+    def test_shutdown_drains_queued_work(self):
+        pool = ServingExecutor(workers=1)
+        futures = [pool.submit(lambda i=i: i) for i in range(10)]
+        pool.shutdown(wait=True)
+        assert [f.result(timeout=1) for f in futures] == list(range(10))
 
 
 class TestRWLock:
@@ -230,6 +307,53 @@ class TestQueryService:
             assert service.session_ids() == []
             with pytest.raises(ServingError):
                 service.session(sid)
+
+    def test_sessions_are_scoped_by_tenant(self, mini_kg):
+        with QueryService(mini_kg.endpoint(), workers=2) as service:
+            sid = service.open_session(OBSERVATION_CLASS, tenant="alice")
+            assert service.session_ids("alice") == [sid]
+            assert service.session_ids() == []
+            # A foreign tenant's id fails exactly like a missing one.
+            for tenant in (DEFAULT_TENANT, "mallory"):
+                with pytest.raises(ServingError, match="no open session"):
+                    service.session(sid, tenant)
+                with pytest.raises(ServingError, match="no open session"):
+                    service.close_session(sid, tenant)
+            assert service.session(sid, "alice") is not None
+            service.close_session(sid, "alice")
+            assert service.stats().open_sessions == 0
+
+    def test_lane_counters_balance_under_contention(self):
+        """Every in-process submission lands in exactly one lane counter:
+        a lost update under thread churn would break the balance."""
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            service = QueryService(small_graph(), workers=8, max_queue=1000,
+                                   request_deadline=0.02)
+            texts = [SELECT_ALL, "SELEC nonsense", "ASK { ?s ?p ?o }"]
+            with ThreadPoolExecutor(max_workers=6) as clients:
+                futures = list(clients.map(
+                    lambda i: service.submit(texts[i % 3]), range(600)))
+            outcomes = {"completed": 0, "errors": 0, "shed": 0}
+            for future in futures:
+                try:
+                    future.result(timeout=60)
+                except RequestShedError:
+                    outcomes["shed"] += 1
+                except Exception:
+                    outcomes["errors"] += 1
+                else:
+                    outcomes["completed"] += 1
+            service.shutdown()
+        finally:
+            sys.setswitchinterval(switch)
+        lane = service.executor.tenant_stats()[DEFAULT_TENANT]
+        assert lane["submitted"] == 600
+        assert lane["submitted"] == (lane["completed"] + lane["errors"]
+                                     + lane["shed"])
+        assert {k: lane[k] for k in outcomes} == outcomes
+        assert outcomes["completed"] and outcomes["errors"]
 
     def test_shutdown_rejects_new_work(self):
         service = QueryService(small_graph(), workers=1)
