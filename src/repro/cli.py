@@ -165,8 +165,8 @@ class ExplorerShell:
                  service: QueryService | None = None):
         self.service = service
         if service is not None:
-            # Route everything through the service's metered, read-locked
-            # endpoint so the stats command sees the whole workload.
+            # The service's endpoint carries its resilience decorators,
+            # which the stats command reports.
             self.endpoint = service.endpoint
             self.vgraph = service.vgraph(observation_class)
             self._session_id = service.open_session(observation_class)

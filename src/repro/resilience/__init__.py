@@ -16,9 +16,11 @@ transient faults are routine, not exceptional.  This subsystem supplies:
   :class:`~repro.errors.TransientError` branch;
 * :mod:`repro.resilience.breaker` — a closed/open/half-open
   :class:`CircuitBreaker` over a sliding failure-rate window;
-* :mod:`repro.resilience.endpoint` — :class:`ResilientEndpoint`, the
-  decorator threading retry + breaker (+ optional serve-stale answers)
-  under any endpoint consumer, :func:`with_resilience`, which applies the
+* :mod:`repro.resilience.endpoint` — :class:`EndpointDecorator`, the one
+  copy of the endpoint surface both decorators share;
+  :class:`ResilientEndpoint`, the decorator threading retry + breaker
+  (+ optional serve-stale answers) under any endpoint consumer,
+  :func:`with_resilience`, which applies the
   CLI's resilience flags, and :func:`try_ask_batch`, the partial-verdict
   batch probe graceful degradation is built on.
 """
@@ -33,6 +35,7 @@ from .breaker import (
 )
 from .diskfaults import DiskFaultPlan, FaultyFS, SimulatedCrash
 from .endpoint import (
+    EndpointDecorator,
     ResilienceStats,
     ResilientEndpoint,
     try_ask_batch,
@@ -49,6 +52,7 @@ __all__ = [
     "HALF_OPEN",
     "OPEN",
     "DiskFaultPlan",
+    "EndpointDecorator",
     "Fault",
     "FaultEvent",
     "FaultyFS",

@@ -1,4 +1,10 @@
-"""The resilient endpoint decorator: retries, breaker, stale answers.
+"""The endpoint decorators: one shared surface, and the resilient one.
+
+:class:`EndpointDecorator` is the one copy of the endpoint query surface
+a decorator needs: every query call is routed through a single ``_call``
+hook, and every other attribute is read from the wrapped endpoint.
+:class:`ResilientEndpoint` (here) and
+:class:`~repro.resilience.FaultInjector` override only ``_call``.
 
 :class:`ResilientEndpoint` wraps any endpoint-shaped object (a real
 :class:`~repro.store.Endpoint`, a :class:`~repro.resilience.FaultInjector`
@@ -32,8 +38,8 @@ from ..store.endpoint import DEFAULT_TIMEOUT, Endpoint
 from .breaker import CircuitBreaker
 from .policy import RetryPolicy
 
-__all__ = ["ResilienceStats", "ResilientEndpoint", "try_ask_batch",
-           "with_resilience"]
+__all__ = ["EndpointDecorator", "ResilienceStats", "ResilientEndpoint",
+           "try_ask_batch", "with_resilience"]
 
 #: Errors that count against the breaker: the endpoint itself misbehaved.
 #: Deterministic errors (syntax, bad input) are evidence the endpoint is
@@ -67,7 +73,65 @@ class ResilienceStats:
             )
 
 
-class ResilientEndpoint:
+class EndpointDecorator:
+    """The endpoint query surface over an inner endpoint, routed through
+    :meth:`_call`; every other attribute (``graph``, ``stats``, ``cache``,
+    ``mutate``, an inner decorator's ``events`` …) reads straight through.
+
+    Setting ``cache`` attaches it to the endpoint at the bottom of the
+    chain, where results are actually cached.
+    """
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def _call(self, op: str, fn, *args, **kwargs):
+        """Run one query call ``fn(*args, **kwargs)``; ``op`` names it."""
+        return fn(*args, **kwargs)
+
+    def select(self, query, timeout=DEFAULT_TIMEOUT):
+        return self._call("select", self._inner.select, query, timeout=timeout)
+
+    def ask(self, query, timeout=DEFAULT_TIMEOUT):
+        return self._call("ask", self._inner.ask, query, timeout=timeout)
+
+    def construct(self, query, timeout=DEFAULT_TIMEOUT):
+        return self._call("construct", self._inner.construct, query,
+                          timeout=timeout)
+
+    def ask_batch(self, queries, timeout=DEFAULT_TIMEOUT):
+        return self._call("ask_batch", self._inner.ask_batch, queries,
+                          timeout=timeout)
+
+    def query(self, text: str, timeout=DEFAULT_TIMEOUT):
+        return self._call("query", self._inner.query, text, timeout=timeout)
+
+    def resolve_keyword(self, keyword: str, exact: bool = True):
+        return self._call("keyword", self._inner.resolve_keyword, keyword,
+                          exact=exact)
+
+    # Endpoint's probe logic re-enters through self.ask/self.select, so
+    # each probe leg is a separate decorated call.
+    is_non_empty = Endpoint.is_non_empty
+
+    @property
+    def cache(self):
+        return self._inner.cache
+
+    @cache.setter
+    def cache(self, cache) -> None:
+        self._inner.cache = cache
+
+    def __getattr__(self, name: str):
+        if name == "_inner":  # not yet set (copy, unpickling)
+            raise AttributeError(name)
+        return getattr(self._inner, name)
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} over {self._inner!r}>"
+
+
+class ResilientEndpoint(EndpointDecorator):
     """Retry + circuit-breaker decorator over the endpoint surface.
 
     ``sleep`` is injectable (chaos tests pass a no-op or virtual clock),
@@ -84,7 +148,7 @@ class ResilientEndpoint:
         stale_size: int = 256,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        self._inner = inner
+        super().__init__(inner)
         # No policy means no retries: a breaker-only (or stale-only)
         # configuration must not silently re-issue queries.
         self.retry = retry if retry is not None else RetryPolicy(max_retries=0)
@@ -94,39 +158,11 @@ class ResilientEndpoint:
         self._sleep = sleep
         self.resilience = ResilienceStats()
 
-    # -- passthrough attributes --------------------------------------------
-
-    @property
-    def graph(self):
-        return self._inner.graph
-
-    @property
-    def stats(self):
-        return self._inner.stats
-
-    @property
-    def cache(self):
-        return self._inner.cache
-
-    @property
-    def default_timeout(self):
-        return self._inner.default_timeout
-
-    @property
-    def text_index(self):
-        return self._inner.text_index
-
-    def refresh_text_index(self) -> None:
-        self._inner.refresh_text_index()
-
-    @property
-    def events(self):
-        """The inner injector's fault log, when wrapping an injector."""
-        return getattr(self._inner, "events", [])
-
     # -- the guarded call path ---------------------------------------------
 
     def _stale_key(self, op: str, query) -> tuple | None:
+        # None for batches: they are retried as a unit, and degrade through
+        # try_ask_batch's per-candidate fallback instead.
         if self._stale is None:
             return None
         try:
@@ -146,7 +182,7 @@ class ResilientEndpoint:
                 return value
         raise shed
 
-    def _call(self, op: str, fn, query, *args, salt_extra: int = 0, **kwargs):
+    def _call(self, op: str, fn, query, *args, **kwargs):
         self.resilience.add("calls")
         stale_key = self._stale_key(op, query)
         attempt = 0
@@ -164,7 +200,7 @@ class ResilientEndpoint:
                     self.breaker.record_failure()
                 if self.retry.is_transient(error) and attempt < self.retry.max_retries:
                     self.resilience.add("retries")
-                    self._sleep(self.retry.delay(attempt, salt=salt_extra))
+                    self._sleep(self.retry.delay(attempt))
                     attempt += 1
                     continue
                 self.resilience.add("giveups")
@@ -186,33 +222,6 @@ class ResilientEndpoint:
                         value = ResultSet(value.variables, value.rows)
                     self._stale.put(stale_key, value)
                 return result
-
-    # -- the query surface -------------------------------------------------
-
-    def select(self, query, timeout=DEFAULT_TIMEOUT):
-        return self._call("select", self._inner.select, query, timeout=timeout)
-
-    def ask(self, query, timeout=DEFAULT_TIMEOUT):
-        return self._call("ask", self._inner.ask, query, timeout=timeout)
-
-    def construct(self, query, timeout=DEFAULT_TIMEOUT):
-        return self._call("construct", self._inner.construct, query, timeout=timeout)
-
-    def query(self, text: str, timeout=DEFAULT_TIMEOUT):
-        return self._call("query", self._inner.query, text, timeout=timeout)
-
-    def ask_batch(self, queries, timeout=DEFAULT_TIMEOUT):
-        # Retried as a unit; stale answers don't apply to batches (the
-        # per-candidate fallback in try_ask_batch handles degradation).
-        return self._call("ask_batch", self._inner.ask_batch, queries, timeout=timeout)
-
-    def resolve_keyword(self, keyword: str, exact: bool = True):
-        return self._call("keyword", self._inner.resolve_keyword, keyword, exact=exact)
-
-    is_non_empty = Endpoint.is_non_empty
-
-    def __repr__(self) -> str:
-        return f"<ResilientEndpoint over {self._inner!r}>"
 
 
 def with_resilience(endpoint, retries: int = 0, breaker: bool = False,

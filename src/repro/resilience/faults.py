@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from ..errors import EndpointUnavailableError, QueryTimeoutError
-from ..sparql.ast import AskQuery, ConstructQuery
-from ..sparql.parser import parse_query
-from ..store.endpoint import DEFAULT_TIMEOUT, Endpoint
+from ..store.endpoint import Endpoint
+from .endpoint import EndpointDecorator
 
 __all__ = ["FAULT_KINDS", "Fault", "FaultEvent", "FaultInjector", "FaultPlan", "OK"]
 
@@ -142,14 +141,15 @@ class FaultPlan:
         return self._decide(index, op)
 
 
-class FaultInjector:
+class FaultInjector(EndpointDecorator):
     """An endpoint decorator that injects faults per the plan.
 
-    Duck-types the :class:`~repro.store.Endpoint` query surface, so any
-    consumer — REOLAP, refinement operators, :class:`ResilientEndpoint`,
-    the serving layer — can run against it unchanged.  Every call first
-    asks the plan for a decision, appends a :class:`FaultEvent`, and then
-    raises / delays / passes through accordingly:
+    Any consumer — REOLAP, refinement operators,
+    :class:`ResilientEndpoint`, the serving layer — can run against it
+    unchanged.  Every call first asks the plan for a decision, appends a
+    :class:`FaultEvent`, and then raises / delays / passes through
+    accordingly (one decision per ``ask_batch``: a real endpoint drops the
+    one round-trip, not individual candidates inside it):
 
     * ``timeout`` → :class:`~repro.errors.QueryTimeoutError`
     * ``transient`` → :class:`~repro.errors.EndpointUnavailableError`
@@ -165,38 +165,13 @@ class FaultInjector:
         plan: FaultPlan,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        self._inner = inner
+        super().__init__(inner)
         self.plan = plan
         self._sleep = sleep
         self._lock = threading.Lock()
         self._calls = 0
         self._armed = True
         self._events: list[FaultEvent] = []
-
-    # -- attributes consumers read straight through ------------------------
-
-    @property
-    def graph(self):
-        return self._inner.graph
-
-    @property
-    def stats(self):
-        return self._inner.stats
-
-    @property
-    def cache(self):
-        return self._inner.cache
-
-    @property
-    def default_timeout(self):
-        return self._inner.default_timeout
-
-    @property
-    def text_index(self):
-        return self._inner.text_index
-
-    def refresh_text_index(self) -> None:
-        self._inner.refresh_text_index()
 
     # -- injection ---------------------------------------------------------
 
@@ -242,43 +217,14 @@ class FaultInjector:
         if fault.kind == "latency":
             self._sleep(fault.latency)
 
-    # -- the query surface -------------------------------------------------
+    def _call(self, op: str, fn, *args, **kwargs):
+        self._admit(op)
+        return fn(*args, **kwargs)
 
-    def select(self, query, timeout=DEFAULT_TIMEOUT):
-        self._admit("select")
-        return self._inner.select(query, timeout=timeout)
-
-    def ask(self, query, timeout=DEFAULT_TIMEOUT):
-        self._admit("ask")
-        return self._inner.ask(query, timeout=timeout)
-
-    def construct(self, query, timeout=DEFAULT_TIMEOUT):
-        self._admit("construct")
-        return self._inner.construct(query, timeout=timeout)
-
-    def ask_batch(self, queries, timeout=DEFAULT_TIMEOUT):
-        # One decision for the whole batch: a real endpoint drops the one
-        # round-trip, not individual candidates inside it.
-        self._admit("ask_batch")
-        return self._inner.ask_batch(queries, timeout=timeout)
-
-    def query(self, text: str, timeout=DEFAULT_TIMEOUT):
-        # Dispatch like Endpoint.query but through our own ask/select/
-        # construct so the injection decision lands on the resolved kind.
-        parsed = parse_query(text) if isinstance(text, str) else text
-        if isinstance(parsed, AskQuery):
-            return self.ask(parsed, timeout=timeout)
-        if isinstance(parsed, ConstructQuery):
-            return self.construct(parsed, timeout=timeout)
-        return self.select(parsed, timeout=timeout)
-
-    def resolve_keyword(self, keyword: str, exact: bool = True):
-        self._admit("keyword")
-        return self._inner.resolve_keyword(keyword, exact=exact)
-
-    # Endpoint's probe logic re-enters through self.ask/self.select, so
-    # each probe leg is a separately injectable call.
-    is_non_empty = Endpoint.is_non_empty
+    # Endpoint's dispatch (parsing through the inner endpoint's AST tier)
+    # re-enters our own ask/select/construct, so the injection decision
+    # lands on the resolved query kind.
+    query = Endpoint.query
 
     def __repr__(self) -> str:
         return f"<FaultInjector {self.faults_injected()}/{self._calls} faulted over {self._inner!r}>"

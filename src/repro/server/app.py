@@ -68,7 +68,7 @@ from ..rdf import IRI
 from ..resilience import with_resilience
 from ..serving.executor import DEFAULT_TENANT
 from ..serving.service import ManagedSession, QueryService
-from ..store.endpoint import DEFAULT_TIMEOUT
+from ..store.endpoint import COUNTERS, DEFAULT_TIMEOUT
 from ..store.graph import Graph
 from .http import HTTPError, HTTPServer, Request, Response
 from .protocol import extract_query, negotiate
@@ -165,7 +165,7 @@ class ReproServer:
         self.service.executor.configure_tenant(tenant, quota_rate, quota_burst)
 
     def _tenant_endpoint(self, tenant: str):
-        """This tenant's query interface over the shared guarded endpoint."""
+        """This tenant's query interface over the shared endpoint."""
         with self._endpoints_lock:
             endpoint = self._endpoints.get(tenant)
             if endpoint is None:
@@ -366,18 +366,8 @@ class ReproServer:
         document = {
             "serving": serving,
             "endpoint": {
-                "select_queries": endpoint_stats.select_queries,
-                "ask_queries": endpoint_stats.ask_queries,
-                "construct_queries": endpoint_stats.construct_queries,
-                "keyword_lookups": endpoint_stats.keyword_lookups,
-                "timeouts": endpoint_stats.timeouts,
-                "cache_hits": endpoint_stats.cache_hits,
-                "batch_asks": endpoint_stats.batch_asks,
-                "compiled_selects": endpoint_stats.compiled_selects,
-                "fallback_selects": endpoint_stats.fallback_selects,
-                "fused_aggregates": endpoint_stats.fused_aggregates,
-                "fallback_aggregates": endpoint_stats.fallback_aggregates,
-                "decline_reasons": dict(endpoint_stats.decline_reasons),
+                **{name: getattr(endpoint_stats, name) for name in COUNTERS},
+                "decline_reasons": endpoint_stats.decline_reasons,
             },
             "executor": {"workers": executor.workers, **executor.stats},
             "cache": cache_tiers,

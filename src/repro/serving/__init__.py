@@ -8,8 +8,8 @@ builds on.  It layers three pieces over the in-process store:
   (parsed ASTs, query results, keyword resolutions, compiled plans)
   invalidated by the graph epoch counter;
 * :mod:`repro.serving.executor` — the one worker pool: per-tenant bounded
-  lanes with token-bucket quotas drained round-robin, per-request
-  deadlines, and a read-write lock;
+  lanes with token-bucket quotas drained round-robin, and per-request
+  deadlines;
 * :mod:`repro.serving.service` — :class:`QueryService`, which multiplexes
   many concurrent exploration sessions over one shared store, keeps the
   tenant-scoped session table, and exposes aggregate
@@ -17,7 +17,7 @@ builds on.  It layers three pieces over the in-process store:
 """
 
 from .cache import MISS, CacheStats, LRUCache, QueryCache, timeout_class
-from .executor import DEFAULT_TENANT, RWLock, ServingExecutor, TokenBucket
+from .executor import DEFAULT_TENANT, ServingExecutor, TokenBucket
 from .service import ManagedSession, QueryService, ServingStats
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "QueryCache",
     "timeout_class",
     "DEFAULT_TENANT",
-    "RWLock",
     "ServingExecutor",
     "TokenBucket",
     "ManagedSession",

@@ -1,4 +1,4 @@
-"""The serving worker pool: per-tenant lanes, quotas, deadlines, RW lock.
+"""The serving worker pool: per-tenant lanes, quotas, deadlines.
 
 :class:`ServingExecutor` is the one queue every served request passes
 through.  Each tenant gets its own bounded FIFO *lane* with a
@@ -16,10 +16,6 @@ the remaining budget is composed with the caller's cooperative evaluation
 timeout (the evaluator's :class:`~repro.sparql.eval._Deadline` stride
 checks), so time spent queued counts against the request — a request that
 waited past its deadline is shed without touching the store.
-
-:class:`RWLock` is the classic many-readers/one-writer lock the
-:class:`~repro.serving.service.QueryService` uses to let concurrent
-queries share the store while mutations get exclusive access.
 """
 
 from __future__ import annotations
@@ -28,7 +24,6 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -39,7 +34,7 @@ from ..errors import (
     ServiceShutdownError,
 )
 
-__all__ = ["DEFAULT_TENANT", "RWLock", "ServingExecutor", "TokenBucket"]
+__all__ = ["DEFAULT_TENANT", "ServingExecutor", "TokenBucket"]
 
 #: The lane of in-process callers and of HTTP requests naming no tenant.
 DEFAULT_TENANT = "public"
@@ -48,52 +43,6 @@ DEFAULT_TENANT = "public"
 #: ``completed + errors + shed`` once the lane is idle.
 _COUNTERS = ("submitted", "completed", "errors", "quota_denied",
              "rejected", "shed")
-
-
-class RWLock:
-    """A read-write lock: many concurrent readers, one exclusive writer.
-
-    Writer-preferring: once a writer is waiting, new readers block, so
-    mutations cannot starve under a steady query stream.  Not reentrant —
-    a thread must not acquire the lock (either side) while holding it.
-    """
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer = False
-        self._writers_waiting = 0
-
-    @contextmanager
-    def read_locked(self):
-        with self._cond:
-            while self._writer or self._writers_waiting:
-                self._cond.wait()
-            self._readers += 1
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._readers -= 1
-                if self._readers == 0:
-                    self._cond.notify_all()
-
-    @contextmanager
-    def write_locked(self):
-        with self._cond:
-            self._writers_waiting += 1
-            try:
-                while self._writer or self._readers:
-                    self._cond.wait()
-                self._writer = True
-            finally:
-                self._writers_waiting -= 1
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._writer = False
-                self._cond.notify_all()
 
 
 class TokenBucket:

@@ -4,8 +4,8 @@
 
 * one shared :class:`~repro.store.Endpoint` (wired with a
   :class:`~repro.serving.cache.QueryCache` unless caching is disabled),
-* a :class:`~repro.serving.executor.RWLock` so any number of concurrent
-  queries share the store while mutations run exclusively,
+  whose read-write lock lets any number of concurrent queries share the
+  store while :meth:`QueryService.mutate` runs exclusively,
 * the :class:`~repro.serving.executor.ServingExecutor` every queued
   request runs on — in-process submissions on the default tenant's lane,
   HTTP requests on their tenant's — with the one request deadline and
@@ -14,36 +14,28 @@
   :class:`~repro.core.session.ExplorationSession` instances — one per
   analyst, scoped to its tenant — over the shared endpoint, and
 * aggregate serving statistics: request counts, throughput, p50/p95
-  latency, and the cache hit rate.
-
-Every query issued through the service — directly via :meth:`execute` /
-:meth:`submit`, or indirectly by a managed exploration session — passes
-through a guarded endpoint proxy that takes the read lock and records the
-request's latency, so the stats cover the whole mixed workload.
+  latency, and the cache hit rate — read off the endpoint's own counters,
+  so they cover every query the store answered, whoever issued it.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..errors import QueryTimeoutError, ServiceShutdownError, ServingError
+from ..errors import ServiceShutdownError, ServingError
 from ..store.dataset import GraphView
 from ..store.endpoint import DEFAULT_TIMEOUT, Endpoint
 from ..store.graph import Graph
 from .cache import QueryCache
-from .executor import DEFAULT_TENANT, RWLock, ServingExecutor
+from .executor import DEFAULT_TENANT, ServingExecutor
 
 if TYPE_CHECKING:
     from ..core.session import ExplorationSession
 
 __all__ = ["ManagedSession", "QueryService", "ServingStats"]
-
-#: How many recent request latencies feed the percentile estimates.
-_LATENCY_WINDOW = 8192
 
 
 @dataclass
@@ -97,103 +89,6 @@ def _percentile(sorted_values: list[float], fraction: float) -> float:
     return sorted_values[index]
 
 
-class _GuardedEndpoint:
-    """Endpoint proxy: read-locks the store and meters every query.
-
-    Duck-types the :class:`~repro.store.Endpoint` query surface, so the
-    exploration session, REOLAP, and the refinement operators can run
-    against it unchanged.  Each call holds the service's read lock for the
-    duration of evaluation — mutations submitted through
-    :meth:`QueryService.mutate` wait for in-flight queries and vice versa.
-    """
-
-    def __init__(self, service: "QueryService", inner: Endpoint):
-        self._service = service
-        self._inner = inner
-
-    # Endpoint attributes the analytics layer reads directly.
-    @property
-    def graph(self):
-        return self._inner.graph
-
-    @property
-    def stats(self):
-        return self._inner.stats
-
-    @property
-    def default_timeout(self):
-        return self._inner.default_timeout
-
-    @property
-    def cache(self):
-        return self._inner.cache
-
-    @property
-    def text_index(self):
-        with self._service._rwlock.read_locked():
-            return self._inner.text_index
-
-    @property
-    def resilience(self):
-        """Resilience counters when the inner endpoint is resilient."""
-        return getattr(self._inner, "resilience", None)
-
-    @property
-    def breaker(self):
-        """The circuit breaker when the inner endpoint has one."""
-        return getattr(self._inner, "breaker", None)
-
-    @property
-    def events(self):
-        """Injected-fault log when the chain ends in a fault injector."""
-        return getattr(self._inner, "events", [])
-
-    def _metered(self, fn, *args, **kwargs):
-        start = time.monotonic()
-        try:
-            with self._service._rwlock.read_locked():
-                result = fn(*args, **kwargs)
-        except QueryTimeoutError:
-            self._service._record(time.monotonic() - start, timeout=True)
-            raise
-        except Exception:
-            self._service._record(time.monotonic() - start, error=True)
-            raise
-        self._service._record(time.monotonic() - start)
-        return result
-
-    def select(self, query, timeout=DEFAULT_TIMEOUT):
-        return self._metered(self._inner.select, query, timeout=timeout)
-
-    def ask(self, query, timeout=DEFAULT_TIMEOUT):
-        return self._metered(self._inner.ask, query, timeout=timeout)
-
-    def ask_batch(self, queries, timeout=DEFAULT_TIMEOUT):
-        # One metered call (and one read-lock hold) for the whole batch.
-        return self._metered(self._inner.ask_batch, queries, timeout=timeout)
-
-    def construct(self, query, timeout=DEFAULT_TIMEOUT):
-        return self._metered(self._inner.construct, query, timeout=timeout)
-
-    def query(self, text, timeout=DEFAULT_TIMEOUT):
-        return self._metered(self._inner.query, text, timeout=timeout)
-
-    def resolve_keyword(self, keyword, exact=True):
-        return self._metered(self._inner.resolve_keyword, keyword, exact=exact)
-
-    def refresh_text_index(self):
-        with self._service._rwlock.write_locked():
-            self._inner.refresh_text_index()
-
-    # Reuse Endpoint's probe logic; its self.ask/self.select calls come
-    # back through this proxy, so each leg takes the read lock separately
-    # (the RWLock is not reentrant).
-    is_non_empty = Endpoint.is_non_empty
-
-    def __repr__(self) -> str:
-        return f"<GuardedEndpoint over {self._inner!r}>"
-
-
 class QueryService:
     """Serves concurrent query and exploration traffic over one store.
 
@@ -213,7 +108,8 @@ class QueryService:
     ``max_queue`` bounds each tenant's lane of waiting requests, and
     ``request_deadline`` (seconds, queueing included) caps every queued
     request.  Retries and circuit breaking come from passing a
-    :class:`~repro.resilience.ResilientEndpoint` as ``target``.
+    :class:`~repro.resilience.ResilientEndpoint` as ``target``; the cache
+    is attached to the endpoint at the bottom of any such decorator chain.
     """
 
     def __init__(
@@ -228,28 +124,17 @@ class QueryService:
     ):
         if cache is None and cache_size > 0:
             cache = QueryCache(max_results=cache_size)
-        self.cache = cache
         if isinstance(target, (Graph, GraphView)):
-            self._endpoint = Endpoint(
-                target, default_timeout=default_timeout, cache=cache)
-        else:
-            # An Endpoint, or anything endpoint-shaped (a FaultInjector,
-            # a ResilientEndpoint, ...).
-            self._endpoint = target
-            if (cache is not None and target.cache is None
-                    and isinstance(target, Endpoint)):
-                target.cache = cache
-            else:
-                self.cache = target.cache
+            target = Endpoint(target, default_timeout=default_timeout)
+        # An Endpoint, or anything endpoint-shaped (a FaultInjector, a
+        # ResilientEndpoint, ...): decorators pass the cache down the chain.
+        self._endpoint = target
+        if cache is not None and target.cache is None:
+            target.cache = cache
+        self.cache = target.cache
         self.request_deadline = request_deadline
-        self._rwlock = RWLock()
         self._executor = ServingExecutor(workers=workers, max_queue=max_queue)
-        self._guarded = _GuardedEndpoint(self, self._endpoint)
-        self._stats_lock = threading.Lock()
-        self._latencies: deque[float] = deque(maxlen=_LATENCY_WINDOW)
-        self._requests = 0
-        self._errors = 0
-        self._timeouts = 0
+        self._sessions_lock = threading.Lock()
         self._started_at = time.monotonic()
         self._sessions: dict[str, ManagedSession] = {}
         self._session_seq = 0
@@ -260,9 +145,9 @@ class QueryService:
     # -- direct querying ---------------------------------------------------
 
     @property
-    def endpoint(self) -> _GuardedEndpoint:
-        """The metered, read-locked endpoint facade."""
-        return self._guarded
+    def endpoint(self):
+        """The endpoint the service was given (or built over a graph)."""
+        return self._endpoint
 
     @property
     def executor(self) -> ServingExecutor:
@@ -272,7 +157,7 @@ class QueryService:
     def execute(self, text: str, timeout=DEFAULT_TIMEOUT):
         """Run one query string synchronously on the caller's thread."""
         self._check_open()
-        return self._guarded.query(text, timeout=timeout)
+        return self._endpoint.query(text, timeout=timeout)
 
     def dispatch(self, fn, /, *args, tenant: str = DEFAULT_TENANT, **kwargs):
         """Queue ``fn(*args, **kwargs)`` on ``tenant``'s lane; returns a
@@ -304,19 +189,14 @@ class QueryService:
         """
         self._check_open()
         if timeout is DEFAULT_TIMEOUT:
-            timeout = self._guarded.default_timeout
-        return self.dispatch(self._guarded.query, text, timeout=timeout)
+            timeout = self._endpoint.default_timeout
+        return self.dispatch(self._endpoint.query, text, timeout=timeout)
 
     def mutate(self, fn):
-        """Apply ``fn(graph)`` under the write lock; returns its result.
-
-        The graph's epoch counter advances with each mutation, so all
-        cached results for the old state become unreachable atomically
-        once the write lock is released.
-        """
+        """Apply ``fn(graph)`` under the endpoint's write lock
+        (:meth:`~repro.store.Endpoint.mutate`); returns its result."""
         self._check_open()
-        with self._rwlock.write_locked():
-            return fn(self._endpoint.graph)
+        return self._endpoint.mutate(fn)
 
     # -- session management ------------------------------------------------
 
@@ -332,7 +212,7 @@ class QueryService:
         with self._vgraph_lock:
             vgraph = self._vgraphs.get(observation_class)
             if vgraph is None:
-                vgraph = VirtualSchemaGraph.bootstrap(self._guarded, observation_class)
+                vgraph = VirtualSchemaGraph.bootstrap(self._endpoint, observation_class)
                 self._vgraphs[observation_class] = vgraph
             return vgraph
 
@@ -343,18 +223,17 @@ class QueryService:
         its id.
 
         ``endpoint`` overrides the session's query interface — the HTTP
-        front-end passes a per-tenant resilient decorator *over* the
-        guarded endpoint here, so tenant isolation (own breaker, own
-        retry budget) composes with the shared metering and read lock.
+        front-end passes a per-tenant resilient decorator over the shared
+        endpoint here (own breaker, own retry budget).
         """
         self._check_open()
         from ..core.session import ExplorationSession
 
         vgraph = self.vgraph(observation_class)
         session = ExplorationSession(
-            endpoint if endpoint is not None else self._guarded,
+            endpoint if endpoint is not None else self._endpoint,
             vgraph, **session_kwargs)
-        with self._stats_lock:
+        with self._sessions_lock:
             if session_id is None:
                 self._session_seq += 1
                 session_id = f"s{self._session_seq}"
@@ -375,7 +254,7 @@ class QueryService:
     def managed_session(self, session_id: str,
                         tenant: str = DEFAULT_TENANT) -> ManagedSession:
         """The table entry of one of ``tenant``'s sessions."""
-        with self._stats_lock:
+        with self._sessions_lock:
             return self._find(session_id, tenant)
 
     def session(self, session_id: str, tenant: str = DEFAULT_TENANT):
@@ -384,39 +263,30 @@ class QueryService:
 
     def close_session(self, session_id: str,
                       tenant: str = DEFAULT_TENANT) -> None:
-        with self._stats_lock:
+        with self._sessions_lock:
             del self._sessions[self._find(session_id, tenant).id]
 
     def session_ids(self, tenant: str = DEFAULT_TENANT) -> list[str]:
-        with self._stats_lock:
+        with self._sessions_lock:
             return sorted(sid for sid, managed in self._sessions.items()
                           if managed.tenant == tenant)
 
     # -- statistics --------------------------------------------------------
 
-    def _record(self, elapsed: float, error: bool = False,
-                timeout: bool = False) -> None:
-        with self._stats_lock:
-            self._requests += 1
-            self._latencies.append(elapsed)
-            if timeout:
-                self._timeouts += 1
-                self._errors += 1
-            elif error:
-                self._errors += 1
-
     def stats(self) -> ServingStats:
-        with self._stats_lock:
-            latencies = sorted(self._latencies)
-            requests = self._requests
-            errors = self._errors
-            timeouts = self._timeouts
+        """Serving figures over the endpoint's counters: ``requests`` is
+        every SELECT/ASK/CONSTRUCT and keyword lookup the store answered
+        (cache hits included, one per query of a batch)."""
+        endpoint = self._endpoint.stats.snapshot()
+        with self._sessions_lock:
             open_sessions = len(self._sessions)
+        requests = endpoint.total_queries + endpoint.keyword_lookups
+        latencies = sorted(endpoint.latencies)
         uptime = max(time.monotonic() - self._started_at, 1e-9)
         return ServingStats(
             requests=requests,
-            errors=errors,
-            timeouts=timeouts,
+            errors=endpoint.errors,
+            timeouts=endpoint.timeouts,
             open_sessions=open_sessions,
             uptime=uptime,
             throughput=requests / uptime,
@@ -437,7 +307,7 @@ class QueryService:
             return
         self._closed = True
         self._executor.shutdown(wait=wait)
-        with self._stats_lock:
+        with self._sessions_lock:
             self._sessions.clear()
 
     def __enter__(self) -> "QueryService":
@@ -449,4 +319,4 @@ class QueryService:
     def __repr__(self) -> str:
         state = "shutdown" if self._closed else "running"
         return (f"<QueryService {state}: {self._executor.workers} workers, "
-                f"{len(self._sessions)} sessions, {self._requests} requests>")
+                f"{len(self._sessions)} sessions>")

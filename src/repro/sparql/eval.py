@@ -99,21 +99,16 @@ class Evaluator:
     """
 
     def __init__(self, graph, optimize: bool = True, compile: bool = True,
-                 plan_cache=None, aggregate_counter=None,
-                 select_counter=None, vectorize: bool = True,
-                 batch_size: int | None = None, parallel: int | None = None,
-                 exec_counter=None):
+                 plan_cache=None, stats=None, vectorize: bool = True,
+                 batch_size: int | None = None, parallel: int | None = None):
         self.graph = graph
         self.optimize = optimize
         self.compile = compile
         self.plan_cache = plan_cache
-        # Optional callable(fused: bool, reason: str | None) invoked once
-        # per aggregate SELECT, letting the endpoint count fused vs.
-        # fallback executions and tally why a shape fell back.
-        self.aggregate_counter = aggregate_counter
-        # Same contract for non-aggregate SELECTs:
-        # callable(compiled: bool, reason: str | None).
-        self.select_counter = select_counter
+        # Optional EndpointStats sink: once per SELECT the evaluator counts
+        # which engine ran it (fused/compiled vs. fallback, batched vs.
+        # tuple) and tallies why a shape fell back.
+        self.stats = stats
         # Batched execution of compiled plans (repro.sparql.vectorized):
         # block-at-a-time operators over columnar batches, with optional
         # morsel parallelism.  vectorize=False pins the tuple-at-a-time
@@ -125,9 +120,13 @@ class Evaluator:
                                         parallel=parallel)
         else:
             self.vec_config = None
-        # Optional callable(batched: bool) invoked once per compiled-plan
-        # execution, letting the endpoint count batched vs. tuple runs.
-        self.exec_counter = exec_counter
+
+    def _tally(self, counter: str, reason: str | None = None) -> None:
+        """Bump one engine counter on the stats sink, with a decline reason."""
+        if self.stats is not None:
+            self.stats.add(counter)
+            if reason is not None:
+                self.stats.add_decline(reason)
 
     def _join_order(self, patterns, available):
         """The interpreter's join order for one BGP."""
@@ -224,21 +223,24 @@ class Evaluator:
                 # solutions or term-space bindings.  With a vec config the
                 # body runs batched and accumulators fold whole segments.
                 rows, variables = plan.execute(deadline, vec=self.vec_config)
-                if counted and self.exec_counter is not None:
-                    self.exec_counter(self.vec_config is not None)
+                if counted:
+                    self._tally("tuple_executions" if self.vec_config is None
+                                else "batched_executions")
             else:
                 solutions = self._eval_group(query.where, [dict()], deadline)
                 rows, variables = self._aggregate(query, solutions, deadline)
-            if counted and self.aggregate_counter is not None:
-                self.aggregate_counter(plan is not None, reason)
+            if counted:
+                self._tally("fused_aggregates" if plan is not None
+                            else "fallback_aggregates", reason)
             if query.distinct:
                 rows = _distinct(rows)
             if query.order_by:
                 rows = self._order(rows, variables, query.order_by, limit=top_k)
         else:
             plan, reason = self._where_plan(query.where)
-            if counted and self.select_counter is not None:
-                self.select_counter(plan is not None, reason)
+            if counted:
+                self._tally("compiled_selects" if plan is not None
+                            else "fallback_selects", reason)
             rows = None
             if plan is not None:
                 if self.vec_config is not None:
@@ -257,8 +259,9 @@ class Evaluator:
                                                   self.vec_config)
                 else:
                     solutions = plan.solutions(deadline)
-                if counted and self.exec_counter is not None:
-                    self.exec_counter(self.vec_config is not None)
+                if counted:
+                    self._tally("tuple_executions" if self.vec_config is None
+                                else "batched_executions")
             else:
                 solutions = self._eval_group(query.where, [dict()], deadline)
             if rows is None:

@@ -17,14 +17,19 @@ paper claims.  The facade adds what a real endpoint provides:
   keyed by query text and the graph's epoch counter, standing in for the
   result reuse real endpoints get from their buffer pools.
 
-Stats updates and the lazy text-index build are guarded by a lock, so one
-endpoint may be shared by the serving layer's worker threads.
+The endpoint owns the store's :class:`RWLock`: every query takes the read
+side, :meth:`Endpoint.mutate` and :meth:`Endpoint.refresh_text_index` the
+write side, so one endpoint may be shared by the serving layer's worker
+threads while writes run exclusively.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+import time
+from collections import deque
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
 
 from ..errors import QueryTimeoutError
 from ..rdf.terms import IRI, Literal, Node
@@ -37,7 +42,10 @@ from .dataset import GraphView
 from .graph import Graph
 from .text_index import TextIndex
 
-__all__ = ["DEFAULT_TIMEOUT", "Endpoint", "EndpointStats"]
+__all__ = ["DEFAULT_TIMEOUT", "Endpoint", "EndpointStats", "RWLock"]
+
+#: How many recent call latencies feed the serving percentile estimates.
+_LATENCY_WINDOW = 8192
 
 
 class _DefaultTimeout:
@@ -68,22 +76,59 @@ DEFAULT_TIMEOUT = _DefaultTimeout()
 #: The union accepted by endpoint ``timeout=`` parameters.
 TimeoutArg = "float | None | _DefaultTimeout"
 
-_COUNTERS = (
-    "select_queries",
-    "ask_queries",
-    "construct_queries",
-    "keyword_lookups",
-    "timeouts",
-    "cache_hits",
-    "batch_asks",
-    "batch_shared_steps",
-    "fused_aggregates",
-    "fallback_aggregates",
-    "compiled_selects",
-    "fallback_selects",
-    "batched_executions",
-    "tuple_executions",
-)
+
+class RWLock:
+    """A read-write lock: many concurrent readers, one exclusive writer.
+
+    Writer-preferring: once a writer is waiting, new readers block, so
+    mutations cannot starve under a steady query stream.  Not reentrant —
+    a thread must not acquire the lock (either side) while holding it.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
+        self._readers = 0
+        self._writer = False
+        self._writers_waiting = 0
+
+    def acquire_read(self) -> None:
+        with self._lock:
+            while self._writer or self._writers_waiting:
+                self._cond.wait()
+            self._readers += 1
+
+    def release_read(self) -> None:
+        with self._lock:
+            self._readers -= 1
+            # Only a writer waits on the reader count.
+            if not self._readers and self._writers_waiting:
+                self._cond.notify_all()
+
+    @contextmanager
+    def read_locked(self):
+        self.acquire_read()
+        try:
+            yield
+        finally:
+            self.release_read()
+
+    @contextmanager
+    def write_locked(self):
+        with self._lock:
+            self._writers_waiting += 1
+            try:
+                while self._writer or self._readers:
+                    self._cond.wait()
+                self._writer = True
+            finally:
+                self._writers_waiting -= 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._writer = False
+                self._cond.notify_all()
 
 
 @dataclass
@@ -103,6 +148,7 @@ class EndpointStats:
     construct_queries: int = 0
     keyword_lookups: int = 0
     timeouts: int = 0
+    errors: int = 0  #: calls that raised, timeouts included
     cache_hits: int = 0
     batch_asks: int = 0  #: ask_batch round-trips (each covers many ASKs)
     batch_shared_steps: int = 0  #: join steps deduplicated by prefix sharing
@@ -115,6 +161,10 @@ class EndpointStats:
     #: why the compiler declined, tallied by the first decline reason string
     #: (covers both plain-SELECT and aggregate fallbacks)
     decline_reasons: dict = field(default_factory=dict, compare=False)
+    #: seconds taken by the most recent calls, lock wait included
+    latencies: deque = field(
+        default_factory=lambda: deque(maxlen=_LATENCY_WINDOW), repr=False,
+        compare=False)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -133,19 +183,30 @@ class EndpointStats:
         with self._lock:
             self.decline_reasons[reason] = self.decline_reasons.get(reason, 0) + 1
 
+    def record(self, elapsed: float) -> None:
+        """Atomically log one call's latency."""
+        with self._lock:
+            self.latencies.append(elapsed)
+
     def snapshot(self) -> "EndpointStats":
         """A consistent point-in-time copy (no torn multi-counter reads)."""
         with self._lock:
-            copy = EndpointStats(**{name: getattr(self, name) for name in _COUNTERS})
+            copy = EndpointStats(**{name: getattr(self, name) for name in COUNTERS})
             copy.decline_reasons = dict(self.decline_reasons)
+            copy.latencies.extend(self.latencies)
             return copy
 
     def reset(self) -> None:
         """Zero every counter atomically with respect to :meth:`add`."""
         with self._lock:
-            for name in _COUNTERS:
+            for name in COUNTERS:
                 setattr(self, name, 0)
             self.decline_reasons = {}
+            self.latencies.clear()
+
+
+#: The integer counters of :class:`EndpointStats`, in declaration order.
+COUNTERS = tuple(f.name for f in fields(EndpointStats) if f.default == 0)
 
 
 class Endpoint:
@@ -159,6 +220,14 @@ class Endpoint:
     apart.  Queries that time
     out are never cached.  The stats counters count *calls*, cached or
     not; ``cache_hits`` says how many were answered without evaluation.
+
+    Only the leaves — the cached SELECT/ASK/CONSTRUCT path, the batch leg
+    of :meth:`ask_batch`, :meth:`resolve_keyword` and the lazy text-index
+    build — take the read lock, and each leaf call records its latency
+    (and its failure) in ``stats``.  The composites (:meth:`query`,
+    :meth:`is_non_empty`, the per-query fallback of :meth:`ask_batch`)
+    call back into ``self`` and hold no lock, since :class:`RWLock` is
+    not reentrant.
     """
 
     def __init__(
@@ -175,38 +244,21 @@ class Endpoint:
     ):
         self.graph = graph
         self.default_timeout = default_timeout
+        self.stats = EndpointStats()
         self._evaluator = Evaluator(
             graph,
             optimize=optimize,
             compile=compile,
-            aggregate_counter=self._count_aggregate,
-            select_counter=self._count_select,
+            stats=self.stats,
             vectorize=vectorize,
             batch_size=batch_size,
             parallel=parallel,
-            exec_counter=self._count_exec,
         )
         self._text_index = text_index
         self._cache = None
         self.cache = cache
-        self.stats = EndpointStats()
         self._lock = threading.Lock()
-
-    def _count_aggregate(self, fused: bool, reason: str | None = None) -> None:
-        """Evaluator callback: tally fused vs. fallback aggregate runs."""
-        self.stats.add("fused_aggregates" if fused else "fallback_aggregates")
-        if not fused and reason is not None:
-            self.stats.add_decline(reason)
-
-    def _count_select(self, compiled: bool, reason: str | None = None) -> None:
-        """Evaluator callback: tally compiled vs. fallback plain SELECTs."""
-        self.stats.add("compiled_selects" if compiled else "fallback_selects")
-        if not compiled and reason is not None:
-            self.stats.add_decline(reason)
-
-    def _count_exec(self, batched: bool) -> None:
-        """Evaluator callback: tally batched vs. tuple plan executions."""
-        self.stats.add("batched_executions" if batched else "tuple_executions")
+        self._rwlock = RWLock()
 
     @property
     def cache(self) -> "QueryCache | None":
@@ -266,6 +318,30 @@ class Endpoint:
     def _count(self, counter: str, n: int = 1) -> None:
         self.stats.add(counter, n)
 
+    def _leaf(self, body, *args, **kwargs):
+        """Run one store call ``body(*args, **kwargs)`` under the read lock,
+        recording its latency (lock wait included) and its failure."""
+        start = time.perf_counter()
+        self._rwlock.acquire_read()
+        try:
+            return body(*args, **kwargs)
+        except Exception:
+            self._count("errors")
+            raise
+        finally:
+            self._rwlock.release_read()
+            self.stats.record(time.perf_counter() - start)
+
+    def mutate(self, fn):
+        """Apply ``fn(graph)`` exclusively of every query; returns its result.
+
+        The graph's epoch counter advances with each mutation, so all
+        cached results for the old state become unreachable atomically
+        once the write lock is released.
+        """
+        with self._rwlock.write_locked():
+            return fn(self.graph)
+
     def _resolve_timeout(self, timeout) -> float | None:
         """Apply the default-timeout sentinel.
 
@@ -280,10 +356,12 @@ class Endpoint:
 
     def _cached(self, kind: str, query, timeout, evaluate,
                 store=lambda result: result, load=lambda value: value):
-        """The one cached-call path behind :meth:`select`/:meth:`ask`/
+        """The one cached-call leaf behind :meth:`select`/:meth:`ask`/
         :meth:`construct`: count the call, look the result up, else
         evaluate and cache it.  ``store`` turns a fresh result into its
         cached form; ``load`` turns a cached value into the caller's copy.
+        Run under one read-lock hold, so a put can never pair an old epoch
+        with new data.
         """
         from ..serving.cache import MISS
 
@@ -310,21 +388,23 @@ class Endpoint:
         """Run a SELECT query (AST or text)."""
         # Copy: ResultSet rows/variables are mutable lists and the cached
         # instance must survive caller-side edits.
-        return self._cached("select", query, timeout, self._evaluator.select,
-                            load=lambda cached: ResultSet(cached.variables,
-                                                          cached.rows))
+        return self._leaf(self._cached, "select", query, timeout,
+                          self._evaluator.select,
+                          load=lambda cached: ResultSet(cached.variables,
+                                                        cached.rows))
 
     def ask(self, query: AskQuery | str, timeout=DEFAULT_TIMEOUT) -> bool:
         """Run an ASK query (AST or text)."""
-        return self._cached("ask", query, timeout, self._evaluator.ask)
+        return self._leaf(self._cached, "ask", query, timeout,
+                          self._evaluator.ask)
 
     def construct(self, query: ConstructQuery | str, timeout=DEFAULT_TIMEOUT):
         """Run a CONSTRUCT query; returns a new :class:`Graph`."""
         # Cached as a triple tuple; each hit gets a private graph.
-        return self._cached("construct", query, timeout,
-                            self._evaluator.construct,
-                            store=lambda graph: tuple(graph.triples()),
-                            load=lambda triples: Graph(triples=triples))
+        return self._leaf(self._cached, "construct", query, timeout,
+                          self._evaluator.construct,
+                          store=lambda graph: tuple(graph.triples()),
+                          load=lambda triples: Graph(triples=triples))
 
     def query(self, text: str, timeout=DEFAULT_TIMEOUT):
         """Parse and dispatch a query string.
@@ -355,9 +435,20 @@ class Endpoint:
         if not queries:
             return []
         timeout = self._resolve_timeout(timeout)
+        parsed = [self._parse(q) if isinstance(q, str) else q for q in queries]
+        results = self._leaf(self._batch_leg, parsed, timeout)
+        # Whatever the batch engine could not decide goes the normal route
+        # (which does its own locking, counting and caching).
+        return [
+            self.ask(parsed[index], timeout=timeout) if verdict is None else verdict
+            for index, verdict in enumerate(results)
+        ]
+
+    def _batch_leg(self, parsed: list, timeout) -> list[bool | None]:
+        """The leaf of :meth:`ask_batch`: cached verdicts, then one shared
+        batch walk; ``None`` where neither decided."""
         from ..serving.cache import MISS
 
-        parsed = [self._parse(q) if isinstance(q, str) else q for q in queries]
         results: list[bool | None] = [None] * len(parsed)
         keys = []
         for index, query in enumerate(parsed):
@@ -390,8 +481,8 @@ class Endpoint:
             except QueryTimeoutError:
                 # The shared walk ran N candidates under one deadline, so a
                 # large batch can exhaust it even when every candidate is
-                # individually cheap.  Leave the batch undecided: the loop
-                # below re-asks each candidate with its own timeout budget,
+                # individually cheap.  Leave the batch undecided: ask_batch
+                # re-asks each candidate with its own timeout budget,
                 # matching the per-probe behaviour of unbatched validation.
                 self._count("timeouts")
             else:
@@ -403,13 +494,7 @@ class Endpoint:
                     results[index] = verdict
                     if keys[index] is not None:
                         self.cache.put_result(keys[index], verdict)
-
-        # Whatever the batch engine could not decide goes the normal route
-        # (which does its own counting and caching).
-        return [
-            self.ask(parsed[index], timeout=timeout) if verdict is None else verdict
-            for index, verdict in enumerate(results)
-        ]
+        return results
 
     def is_non_empty(self, query: SelectQuery, timeout=DEFAULT_TIMEOUT) -> bool:
         """Whether a SELECT query has at least one result.
@@ -440,10 +525,15 @@ class Endpoint:
 
     @property
     def text_index(self) -> TextIndex:
-        """The full-text index, built lazily on first keyword lookup.
+        """The full-text index, built lazily on first keyword lookup."""
+        with self._rwlock.read_locked():
+            return self._index()
 
-        Double-checked under the endpoint lock so concurrent first lookups
-        build it exactly once.
+    def _index(self) -> TextIndex:
+        """The text index; the caller holds the read lock.
+
+        Double-checked under the endpoint mutex so concurrent first
+        lookups build it exactly once.
         """
         index = self._text_index
         if index is None:
@@ -460,6 +550,9 @@ class Endpoint:
         Returns (entity, attribute predicate, matched literal) triples —
         the raw material of Algorithm 1's MATCHES step.
         """
+        return self._leaf(self._resolve_keyword, keyword, exact)
+
+    def _resolve_keyword(self, keyword: str, exact: bool) -> list:
         self._count("keyword_lookups")
         from ..serving.cache import MISS
 
@@ -472,16 +565,15 @@ class Endpoint:
                 if cached is not MISS:
                     self._count("cache_hits")
                     return list(cached)
-        result = list(self.text_index.subjects_matching(keyword, exact=exact))
+        result = list(self._index().subjects_matching(keyword, exact=exact))
         if key is not None:
             self.cache.put_keyword(key, tuple(result))
         return result
 
     def refresh_text_index(self) -> None:
         """Rebuild the text index after bulk updates to the graph."""
-        index = TextIndex.from_graph(self.graph)
-        with self._lock:
-            self._text_index = index
+        with self._rwlock.write_locked():
+            self._text_index = TextIndex.from_graph(self.graph)
 
     def __repr__(self) -> str:
         return f"<Endpoint over {self.graph!r}>"

@@ -274,8 +274,10 @@ class TestServingUnderChaos:
                     answered += 1
                     assert {row[0] for row in result} == truth
             assert answered + errored == 30
-            stats = service.stats()
-            assert stats.requests >= answered  # cache hits short-circuit faults
+            # The cache sits below the injector, so faults still apply to
+            # cache hits; every answer reached the endpoint at least once.
+            assert service.cache is not None
+            assert service.stats().requests >= answered
         assert answered > 0  # a zero-recovery run means retry is broken
 
     @pytest.mark.parametrize("seed", SEEDS)

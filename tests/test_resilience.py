@@ -1,8 +1,8 @@
 """Unit tests for the resilience subsystem (fast, fully deterministic).
 
 Covers the retry policy, the circuit breaker state machine, the fault
-injector, the resilient endpoint decorator, the default-timeout sentinel,
-thread-safe endpoint stats, and the RWLock writer-preference guarantee.
+injector, the decorator surface both endpoint decorators share, the
+default-timeout sentinel, and thread-safe endpoint stats.
 The seeded randomized replay of the same machinery lives in the `chaos`
 suite (``tests/test_chaos.py``), which is excluded from the tier-1 run.
 """
@@ -32,7 +32,6 @@ from repro.resilience import (
     RetryPolicy,
     try_ask_batch,
 )
-from repro.serving.executor import RWLock
 from repro.store import Endpoint, EndpointStats, Graph
 
 EX = "http://example.org/"
@@ -443,6 +442,50 @@ class TestResilientEndpoint:
 
 
 # ---------------------------------------------------------------------------
+# The shared decorator surface
+
+
+class TestEndpointDecorator:
+    def test_probes_read_through_the_chain(self, endpoint):
+        """The stats probes the CLI and /stats make on whatever endpoint
+        they hold: each decorator's own state, the rest read through."""
+        guarded = resilient(endpoint, {0: "transient"},
+                            retry=RetryPolicy(max_retries=1, jitter=0.0),
+                            breaker=CircuitBreaker())
+        assert len(guarded.select(SELECT_Q)) == 6
+        assert guarded.resilience.snapshot().retries == 1
+        assert guarded.breaker.state == CLOSED
+        assert [event.kind for event in guarded.events] == ["transient", "ok"]
+        injector = guarded._inner
+        assert getattr(injector, "resilience", None) is None
+        assert getattr(injector, "breaker", None) is None
+        assert getattr(ResilientEndpoint(endpoint), "events", None) is None
+        for decorator in (guarded, injector):
+            assert decorator.stats is endpoint.stats
+            assert decorator.graph is endpoint.graph
+            assert decorator.text_index is endpoint.text_index
+
+    def test_cache_and_mutate_reach_the_endpoint(self, endpoint):
+        from repro.serving import QueryCache
+
+        guarded = resilient(endpoint, {})
+        cache = QueryCache()
+        guarded.cache = cache
+        assert endpoint.cache is cache and guarded.cache is cache
+        guarded.mutate(lambda g: g.add(Triple(iri("obs9"), iri("dim"),
+                                              iri("m0"))))
+        assert len(guarded.select(SELECT_Q)) == 7
+
+    def test_query_injects_on_the_resolved_kind(self, endpoint):
+        injector = FaultInjector(endpoint, FaultPlan.healthy())
+        guarded = ResilientEndpoint(injector)
+        assert guarded.query(ASK_TRUE) is True
+        assert len(guarded.query(SELECT_Q)) == 6
+        assert [event.op for event in injector.events] == ["ask", "select"]
+        assert guarded.resilience.snapshot().calls == 2
+
+
+# ---------------------------------------------------------------------------
 # try_ask_batch (partial-failure semantics)
 
 
@@ -571,77 +614,3 @@ class TestEndpointStatsConcurrency:
         assert snap.select_queries == 0
         snap.add("select_queries")  # the copy has its own working lock
         assert snap.select_queries == 1
-
-
-# ---------------------------------------------------------------------------
-# RWLock writer preference (satellite)
-
-
-class TestRWLockWriterPreference:
-    def test_waiting_writer_blocks_new_readers(self):
-        lock = RWLock()
-        order = []
-        reader1_in = threading.Event()
-        release_reader1 = threading.Event()
-        late_reader_entered = threading.Event()
-
-        def first_reader():
-            with lock.read_locked():
-                order.append("reader1-in")
-                reader1_in.set()
-                release_reader1.wait(timeout=5)
-
-        def writer():
-            with lock.write_locked():
-                order.append("writer-in")
-
-        def late_reader():
-            with lock.read_locked():
-                order.append("reader2-in")
-                late_reader_entered.set()
-
-        t_reader = threading.Thread(target=first_reader)
-        t_writer = threading.Thread(target=writer)
-        t_reader.start()
-        assert reader1_in.wait(timeout=5)  # reader1 holds the lock
-        t_writer.start()
-        while lock._writers_waiting == 0:  # writer queued behind reader1
-            pass
-        t_late = threading.Thread(target=late_reader)
-        t_late.start()
-        # Writer preference: with reader1 still holding and the writer
-        # queued, reader2 must not slip in ahead of the writer.
-        assert not late_reader_entered.wait(timeout=0.15)
-        release_reader1.set()
-        for thread in (t_reader, t_writer, t_late):
-            thread.join(timeout=5)
-        assert order == ["reader1-in", "writer-in", "reader2-in"]
-
-    def test_stress_no_starvation_and_exclusion(self):
-        lock = RWLock()
-        state = {"value": 0}
-        violations = []
-        n_writers, n_readers, rounds = 3, 6, 60
-
-        def writer(seed):
-            for _ in range(rounds):
-                with lock.write_locked():
-                    before = state["value"]
-                    state["value"] = before + 1  # non-atomic without the lock
-
-        def reader(seed):
-            for _ in range(rounds):
-                with lock.read_locked():
-                    value = state["value"]
-                    if value != state["value"]:  # a writer ran concurrently
-                        violations.append(value)
-
-        threads = [threading.Thread(target=writer, args=(i,)) for i in range(n_writers)]
-        threads += [threading.Thread(target=reader, args=(i,)) for i in range(n_readers)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert not any(thread.is_alive() for thread in threads)  # no deadlock
-        assert not violations
-        assert state["value"] == n_writers * rounds  # no lost writer updates

@@ -24,6 +24,7 @@ import json
 import threading
 import time
 import urllib.parse
+from dataclasses import fields
 
 import pytest
 
@@ -34,6 +35,7 @@ from repro.resilience import FaultInjector, FaultPlan
 from repro.server import DEFAULT_TENANT, serve_in_thread
 from repro.serving import QueryService, TokenBucket
 from repro.sparql.results import to_csv, to_sparql_json, to_tsv
+from repro.store import EndpointStats
 
 SELECT_Q = (
     f"SELECT ?s WHERE {{ ?s a <{OBSERVATION_CLASS}> }} ORDER BY ?s LIMIT 10"
@@ -509,10 +511,12 @@ class TestGracefulShutdown:
     def test_zero_inflight_responses_lost(self, mini_kg):
         """Every request accepted before stop() gets a complete, correct
         response; afterwards the port refuses."""
+        # Every store call waits at the gate (the injector's latency
+        # sleep), so no request can finish before close() has begun.
+        gate = threading.Event()
         injector = FaultInjector(
-            mini_kg.endpoint(),
-            FaultPlan.random(5, timeout_rate=0.0, transient_rate=0.0,
-                             latency_rate=1.0, max_latency=0.05),
+            mini_kg.endpoint(), FaultPlan.random(5, latency_rate=1.0),
+            sleep=lambda _seconds: gate.wait(timeout=30),
         )
         service = QueryService(injector, workers=2, cache_size=0)
         handle = serve_in_thread(service, own_service=True)
@@ -537,7 +541,17 @@ class TestGracefulShutdown:
                and time.monotonic() < deadline):
             time.sleep(0.002)
         assert handle.server._http.inflight == n_requests
-        handle.close()  # graceful: drains all eight before returning
+        # Graceful: close() drains all eight before returning.
+        closer = threading.Thread(target=handle.close)
+        closer.start()
+        deadline = time.monotonic() + 10
+        while (not handle.server._http._closing
+               and time.monotonic() < deadline):
+            time.sleep(0.002)
+        assert handle.server._http._closing
+        gate.set()
+        closer.join(timeout=60)
+        assert not closer.is_alive()
         for thread in threads:
             thread.join(timeout=30)
 
@@ -575,6 +589,21 @@ class TestStats:
         assert public["submitted"] >= 1
         assert public["completed"] >= 1
         assert stats["http"]["pending"] == 0
+
+    def test_stats_lists_every_endpoint_counter(self, server, client):
+        client.sparql(ASK_Q)
+        _, stats = client.json("GET", "/stats")
+        counters = {f.name for f in fields(EndpointStats)
+                    if f.type in ("int", int)}
+        assert "errors" in counters and "tuple_executions" in counters
+        # Every counter is published, and no key published before is gone.
+        assert set(stats["endpoint"]) == counters | {"decline_reasons"}
+        assert set(stats["endpoint"]) >= {
+            "select_queries", "ask_queries", "construct_queries",
+            "keyword_lookups", "timeouts", "cache_hits", "batch_asks",
+            "compiled_selects", "fallback_selects", "fused_aggregates",
+            "fallback_aggregates", "decline_reasons"}
+        assert stats["endpoint"]["ask_queries"] >= 1
 
     def test_stats_wrong_method_is_405(self, client):
         assert client.request("POST", "/stats", body="{}")[0] == 405

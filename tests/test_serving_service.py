@@ -1,4 +1,4 @@
-"""Serving layer: executor admission control, RW lock, QueryService.
+"""Serving layer: executor admission control, endpoint thread safety, QueryService.
 
 The acceptance-critical test drives 8+ threads of mixed exploration
 sessions through one :class:`QueryService` and checks every thread saw
@@ -24,11 +24,11 @@ from repro.errors import (
 from repro.qb import OBSERVATION_CLASS
 from repro.rdf import IRI, Literal
 from repro.rdf.triple import Triple
+from repro.resilience import ResilientEndpoint
 from repro.serving import (
     DEFAULT_TENANT,
     QueryCache,
     QueryService,
-    RWLock,
     ServingExecutor,
 )
 from repro.store import Endpoint, Graph
@@ -179,52 +179,6 @@ class TestServingExecutor:
         assert [f.result(timeout=1) for f in futures] == list(range(10))
 
 
-class TestRWLock:
-    def test_writer_excludes_readers(self):
-        lock = RWLock()
-        log = []
-
-        def reader(delay):
-            with lock.read_locked():
-                log.append("r-in")
-                time.sleep(delay)
-                log.append("r-out")
-
-        def writer():
-            with lock.write_locked():
-                log.append("w")
-
-        threads = [threading.Thread(target=reader, args=(0.05,)) for _ in range(3)]
-        for t in threads:
-            t.start()
-        time.sleep(0.01)  # let readers enter
-        w = threading.Thread(target=writer)
-        w.start()
-        for t in threads + [w]:
-            t.join(timeout=5)
-        # The writer ran strictly after every in-flight reader left.
-        assert log.index("w") > max(i for i, e in enumerate(log) if e == "r-out") - 1
-        assert log.count("r-in") == 3 and log.count("w") == 1
-
-    def test_write_lock_protects_counter(self):
-        lock = RWLock()
-        state = {"n": 0}
-
-        def bump():
-            for _ in range(200):
-                with lock.write_locked():
-                    current = state["n"]
-                    time.sleep(0)  # force interleaving opportunity
-                    state["n"] = current + 1
-
-        threads = [threading.Thread(target=bump) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-        assert state["n"] == 800
-
-
 # ---------------------------------------------------------------------------
 # Endpoint thread safety (shared under the executor)
 # ---------------------------------------------------------------------------
@@ -287,6 +241,19 @@ class TestQueryService:
             queued = service.submit(SELECT_ALL).result(timeout=10)
             assert direct == queued
             assert service.stats().requests == 2
+
+    def test_cache_attaches_below_a_decorator(self):
+        """A decorated endpoint is served cached, like a bare one: the
+        cache lands on the Endpoint at the bottom of the chain."""
+        endpoint = Endpoint(small_graph())
+        resilient = ResilientEndpoint(endpoint)
+        with QueryService(resilient, workers=1) as service:
+            assert service.cache is not None
+            assert endpoint.cache is service.cache
+            assert service.endpoint is resilient
+            service.execute(SELECT_ALL)
+            service.execute(SELECT_ALL)
+            assert endpoint.stats.cache_hits == 1
 
     def test_mutation_through_service_invalidates_cache(self):
         graph = small_graph()
