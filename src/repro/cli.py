@@ -319,7 +319,8 @@ class ExplorerShell:
             f"fallback {stats.fallback_aggregates}",
             f"  selects         compiled {stats.compiled_selects}, "
             f"fallback {stats.fallback_selects}",
-            f"  executions      batched {stats.batched_executions}, "
+            f"  executions      batched {stats.batched_executions} "
+            f"(fallback rows {stats.fallback_batch_rows}), "
             f"tuple {stats.tuple_executions}, "
             f"term-space {stats.fallback_selects + stats.fallback_aggregates} "
             f"({_render_declines(stats.decline_reasons)})",

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..rdf.terms import IRI, Literal, Node
+from ..rdf.namespace import RDF
+from ..rdf.terms import IRI, Literal, Node, Variable
+from ..sparql.builder import ask, path
 from ..store.endpoint import Endpoint
 from .virtual_graph import VLevel, VirtualSchemaGraph
 
@@ -101,6 +103,11 @@ def find_interpretations(
     return interpretations
 
 
+#: Variables of the membership probes, built as ASTs so that no probe is
+#: formatted as text and parsed again.
+_X = Variable("x")
+_OBS = Variable("o")
+
 #: Pseudo-predicate marking a member given directly by IRI (footnote 3's
 #: mixed input), where no attribute literal was involved.
 _SELF_REFERENCE = IRI("urn:repro:direct-iri-reference")
@@ -133,7 +140,7 @@ def _incoming_terminal_predicates(
     )
     return [
         predicate for predicate in terminals
-        if endpoint.ask(f"ASK {{ ?x {predicate.n3()} {entity.n3()} }}")
+        if endpoint.ask(ask((_X, predicate, entity)))
     ]
 
 
@@ -141,7 +148,7 @@ def _reaches_observation(
     endpoint: Endpoint, vgraph: VirtualSchemaGraph, level: VLevel, member: IRI
 ) -> bool:
     """ASK whether some observation reaches ``member`` through the level path."""
-    chain = " / ".join(p.n3() for p in level.path)
-    return endpoint.ask(
-        f"ASK {{ ?o a {vgraph.observation_class.n3()} . ?o {chain} {member.n3()} }}"
-    )
+    return endpoint.ask(ask(
+        (_OBS, RDF.type, vgraph.observation_class),
+        (_OBS, path(*level.path), member),
+    ))

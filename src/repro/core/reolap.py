@@ -26,7 +26,9 @@ import itertools
 from dataclasses import dataclass, field
 
 from ..errors import FAULT_ERRORS, SynthesisError
+from ..rdf.namespace import RDF
 from ..sparql.ast import AskQuery
+from ..sparql.builder import ask, path, var
 from ..store.endpoint import Endpoint
 from .describe import describe_query
 from .matching import Interpretation, find_interpretations
@@ -271,12 +273,13 @@ def reolap_multi(
 
 def _all_tuples_cooccur(endpoint, vgraph, rows) -> bool:
     """Every example tuple's members reach one common observation."""
+    obs = var("o")
     for row in rows:
-        patterns = [f"?o a {vgraph.observation_class.n3()} ."]
+        patterns = [(obs, RDF.type, vgraph.observation_class)]
         for interpretation in row:
-            chain = " / ".join(p.n3() for p in interpretation.level.path)
-            patterns.append(f"?o {chain} {interpretation.member.n3()} .")
-        if not endpoint.ask("ASK { " + " ".join(patterns) + " }"):
+            patterns.append((obs, path(*interpretation.level.path),
+                             interpretation.member))
+        if not endpoint.ask(ask(*patterns)):
             return False
     return True
 

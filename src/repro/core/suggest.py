@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..rdf.terms import IRI, Literal
+from ..sparql.builder import ask, var
 from ..store.endpoint import Endpoint
 from .virtual_graph import VirtualSchemaGraph
 
@@ -65,7 +66,7 @@ def suggest(
             if not isinstance(subject, IRI):
                 continue
             for terminal, labels in terminal_levels.items():
-                if endpoint.ask(f"ASK {{ ?x {terminal.n3()} {subject.n3()} }}"):
+                if endpoint.ask(ask((var("x"), terminal, subject))):
                     level_labels.update(labels)
         if level_labels:
             suggestions.setdefault(literal.lexical, set()).update(level_labels)

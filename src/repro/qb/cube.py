@@ -144,6 +144,7 @@ class CubeBuilder:
         self._build_hierarchy_edges(rng, graph, pools)
         self._annotate_schema(graph, kg)
         self._build_observations(rng, graph, kg, pools, n_observations)
+        graph.triple_index.settle()
         return kg
 
     def _build_member_pools(

@@ -111,6 +111,7 @@ def load_table(
             raise SchemaError(f"row {index}: no measure value in any of {list(measures)}")
     if count == 0:
         raise SchemaError("the table contained no rows")
+    graph.triple_index.settle()
     return graph
 
 

@@ -17,10 +17,16 @@ materializing a solution list:
   fold each row into small per-group state as the pipeline produces it
   (DISTINCT variants keep a per-group id-set), so no solution list is
   ever materialized;
-* **memoized decode** — SUM/AVG decode each *distinct* literal id to its
-  numeric value once per execution (MIN/MAX memoize sort keys,
-  GROUP_CONCAT lexical forms); group keys are decoded once per group, at
-  the projection boundary.
+* **grouped batch fold** — batched execution folds each batch in one
+  pass: dense group ids per row, then one ``fold`` per aggregate over
+  all the batch's groups (``bincount`` counts, in-order ``np.add.at``
+  sums, rank-and-position MIN/MAX), bit-identical to the row-by-row
+  fold;
+* **memoized decode** — SUM/AVG read each literal id's number from the
+  term dictionary's memo, filled once per id for the dictionary's
+  lifetime (MIN/MAX memoize sort keys, GROUP_CONCAT lexical forms, per
+  execution); group keys are decoded once per group, at the projection
+  boundary.
 
 :func:`compile_aggregate_ex` lowers a qualifying query into an
 :class:`AggregatePlan` — operator pipeline → fused aggregation → HAVING —
@@ -55,6 +61,7 @@ from __future__ import annotations
 import numpy as _np
 
 from ..rdf.terms import IRI, Literal, Node, Variable, XSD_INTEGER
+from ..store.index import MALFORMED, NOT_NUMERIC, numeric_of
 from .ast import (
     Aggregate,
     Arithmetic,
@@ -67,9 +74,11 @@ from .ast import (
     SelectQuery,
     TermExpr,
 )
+from .eval import _number_literal
 from .expressions import ExpressionError, effective_boolean_value
 from .operators import _ExecContext, compile_where
 from .rexpr import compile_expression
+from .vectorized import UNBOUND, _VecCtx, collect_batches
 
 __all__ = ["AggregatePlan", "compile_aggregate", "compile_aggregate_ex"]
 
@@ -91,32 +100,34 @@ class _AggError:
 _ERROR = _AggError()
 
 
-def _number_literal(value: float) -> Literal:
-    from .eval import _number_literal as _impl
-
-    return _impl(value)
-
-
 # --------------------------------------------------------------------------
 # Streaming accumulators
 #
 # Each accumulator consumes the integer id bound to its argument variable
 # (None when unbound — the row is skipped, matching the term-space engine's
 # skip-on-argument-error rule) and produces an RDF term, or the _ERROR
-# sentinel, at group finalization.  Decoding is shared across groups
-# through the execution-wide memos owned by _ExecState.
+# sentinel, at group finalization.  ``add`` folds one row (the tuple
+# path); the classmethod ``fold`` folds a whole batch into the
+# accumulators of its groups at once (the batched path), bit-identical to
+# calling ``add`` on every row in order.  Numbers come from the term
+# dictionary's memo, other decodes from the execution-wide memos owned by
+# _ExecState.
 # --------------------------------------------------------------------------
 
 
 class _ExecState:
-    """Per-execution decode memos shared by every group's accumulators."""
+    """Per-execution decode memos shared by every group's accumulators.
 
-    __slots__ = ("decode", "terms", "numbers", "strings", "sort_keys")
+    Numeric values are not memoized here: ``numeric`` reads the term
+    dictionary's own memo, which outlives the execution.
+    """
 
-    def __init__(self, decode):
-        self.decode = decode  # TermDictionary.decode
+    __slots__ = ("decode", "_numeric", "terms", "strings", "sort_keys")
+
+    def __init__(self, decode, numeric):
+        self.decode = decode  # the execution context's codec
+        self._numeric = numeric  # the term dictionary's NumericMemo.numeric
         self.terms: dict[int, Node] = {}
-        self.numbers: dict[int, object] = {}
         self.strings: dict[int, object] = {}
         self.sort_keys: dict[int, tuple] = {}
 
@@ -127,17 +138,20 @@ class _ExecState:
             self.terms[term_id] = term
         return term
 
+    def numeric(self, term_id: int):
+        """The id's float, ``NOT_NUMERIC`` or ``MALFORMED``."""
+        if term_id < 0:  # plan-local pseudo id: not in the dictionary
+            return numeric_of(self.term(term_id))
+        return self._numeric(term_id)
+
     def number(self, term_id: int):
-        value = self.numbers.get(term_id)
-        if value is None:
-            term = self.term(term_id)
-            if isinstance(term, Literal) and term.is_numeric:
-                # A NaN literal raises ValueError here, exactly as the
-                # term-space path's numeric_value() call does.
-                value = term.numeric_value()
-            else:
-                value = _ERROR
-            self.numbers[term_id] = value
+        value = self.numeric(term_id)
+        if value is NOT_NUMERIC:
+            return _ERROR
+        if value is MALFORMED:
+            # A NaN literal raises ValueError here, exactly as the
+            # term-space path's numeric_value() call does.
+            self.term(term_id).numeric_value()
         return value
 
     def string(self, term_id: int):
@@ -161,6 +175,81 @@ class _ExecState:
         return key
 
 
+class _Column:
+    """One aggregate argument column of a batch, restricted to its bound
+    rows, with the per-column work — distinct ids, their numbers, their
+    sort-key ranks — done once for every aggregate that reads it."""
+
+    __slots__ = ("gids", "ids", "_distinct", "_numerics", "_ranks")
+
+    def __init__(self, gids, col):
+        bound = col != UNBOUND
+        if bool(bound.all()):
+            self.gids, self.ids = gids, col
+        else:
+            self.gids, self.ids = gids[bound], col[bound]
+        self._distinct = self._numerics = self._ranks = None
+
+    def distinct(self):
+        """``(distinct ids as a list, inverse index per row)``."""
+        if self._distinct is None:
+            uniq, inverse = _np.unique(self.ids, return_inverse=True)
+            self._distinct = (uniq.tolist(), inverse)
+        return self._distinct
+
+    def _numeric(self, state) -> list:
+        if self._numerics is None:
+            self._numerics = [state.numeric(t) for t in self.distinct()[0]]
+        return self._numerics
+
+    def numbers(self, state):
+        """Float64 value per distinct id, or None when some id is not a
+        well-formed number (its errors then need the row order)."""
+        values = self._numeric(state)
+        if any(v is NOT_NUMERIC or v is MALFORMED for v in values):
+            return None
+        return _np.array(values, dtype=_np.float64)
+
+    def ranks(self, state):
+        """``(dense sort-key rank per row, sort key per distinct id or
+        None)``, or None when a NaN literal makes the order partial.
+
+        When every id is a well-formed number with a distinct value, the
+        sort-key order is the numeric order: no term is decoded and the
+        keys stay None (an accumulator computes the few it compares).
+        """
+        if self._ranks is None:
+            uniq, inverse = self.distinct()
+            numbers = self._numeric(state)
+            if any(v is MALFORMED for v in numbers):
+                self._ranks = False
+                return None
+            rank = keys = None
+            if not any(v is NOT_NUMERIC for v in numbers):
+                values = _np.array(numbers, dtype=_np.float64)
+                order = _np.argsort(values, kind="stable")
+                ordered = values[order]
+                if not bool((ordered[1:] == ordered[:-1]).any()):
+                    rank = _np.empty(len(order), dtype=_np.int64)
+                    rank[order] = _np.arange(len(order))
+            if rank is None:  # equal numbers or other terms: full sort keys
+                keys = [state.sort_key(t) for t in uniq]
+                rank = _np.empty(len(keys), dtype=_np.int64)
+                previous, current = None, -1
+                for j in sorted(range(len(keys)), key=keys.__getitem__):
+                    if current < 0 or keys[j] != previous:
+                        current += 1
+                        previous = keys[j]
+                    rank[j] = current
+            self._ranks = (rank[inverse], keys)
+        return self._ranks if self._ranks is not False else None
+
+    def replay(self, accs) -> None:
+        """Fold the rows one at a time, in row order: the exact path."""
+        for gid, term_id in zip(self.gids.tolist(), self.ids.tolist()):
+            accs[gid].add(term_id)
+
+
 class _CountAll:
     """COUNT(*) — counts group members; DISTINCT is a no-op, exactly as in
     the term-space path (COUNT(*) never sees per-row values to dedup)."""
@@ -173,9 +262,11 @@ class _CountAll:
     def add(self, value_id) -> None:
         self.n += 1
 
-    def add_batch(self, ids, total, state) -> bool:
-        self.n += total
-        return True
+    @classmethod
+    def fold(cls, accs, gids, column, state) -> None:
+        counts = _np.bincount(gids, minlength=len(accs))
+        for acc, n in zip(accs, counts.tolist()):
+            acc.n += n
 
     def finish(self, state):
         return Literal(str(self.n), datatype=XSD_INTEGER)
@@ -196,14 +287,16 @@ class _Count:
         else:
             self.n += 1
 
-    def add_batch(self, ids, total, state) -> bool:
-        if ids is None or not len(ids):
-            return True
-        if self.seen is not None:
-            self.seen.update(ids.tolist())
-        else:
-            self.n += int(len(ids))
-        return True
+    @classmethod
+    def fold(cls, accs, gids, column, state) -> None:
+        if column is None:
+            return
+        if accs[0].seen is not None:
+            column.replay(accs)
+            return
+        counts = _np.bincount(column.gids, minlength=len(accs))
+        for acc, n in zip(accs, counts.tolist()):
+            acc.n += n
 
     def finish(self, state):
         n = len(self.seen) if self.seen is not None else self.n
@@ -238,51 +331,27 @@ class _Sum:
         self.total += value
         self.n += 1
 
-    def add_batch(self, ids, total, state) -> bool:
-        """Bulk fold, exact only: distinct ids accumulate by first
-        occurrence; non-distinct sums vectorize as value × multiplicity
-        when every distinct value is an exact integer and the running
-        total plus the batch's absolute mass stays below 2**53 (then
-        every float addition the sequential fold would perform is exact,
-        so addition is order-free), otherwise the caller replays the
-        rows in order — mid-stream switching is sound because everything
-        already folded was exact."""
-        if self.errored or ids is None or not len(ids):
-            return True
-        if self.seen is not None:
-            uniq, first = _np.unique(ids, return_index=True)
-            for j in _np.argsort(first, kind="stable").tolist():
-                self.seen[int(uniq[j])] = None
-            return True
-        number = self.state.number
-        uniq, counts = _np.unique(ids, return_counts=True)
-        delta = 0
-        delta_abs = 0
-        try:
-            for term_id, count in zip(uniq.tolist(), counts.tolist()):
-                value = number(term_id)
-                if value is _ERROR:
-                    self.errored = True
-                    return True
-                if abs(value) >= 2 ** 53 or not float(value).is_integer():
-                    return False
-                ivalue = int(value)
-                delta += ivalue * count
-                delta_abs += abs(ivalue) * count
-        except (OverflowError, TypeError):
-            return False
-        # Grouping v*c is only order-free while every float addition stays
-        # exact.  The sequential fold's intermediates are bounded by
-        # |total| + Σ|v|·c, so that bound (plus an integer-valued running
-        # total — a replayed inexact batch poisons associativity) below
-        # 2**53 pins batched == tuple bit-for-bit; otherwise replay rows.
-        if not self.total.is_integer():
-            return False
-        if abs(self.total) + delta_abs >= 2 ** 53:
-            return False
-        self.total += delta
-        self.n += int(len(ids))
-        return True
+    @classmethod
+    def fold(cls, accs, gids, column, state) -> None:
+        """Per-group sums of a whole batch, added in row order:
+        ``np.add.at`` is an unbuffered, in-order fold, so each group
+        performs exactly the float additions ``add`` would, at any
+        magnitude.  A non-numeric or malformed id replays the rows
+        through ``add``, whose error semantics depend on the order, and
+        so does DISTINCT (its first-occurrence dict)."""
+        if column is None:
+            return
+        values = None if accs[0].seen is not None else column.numbers(state)
+        if values is None:
+            column.replay(accs)
+            return
+        totals = _np.array([acc.total for acc in accs], dtype=_np.float64)
+        _np.add.at(totals, column.gids, values[column.distinct()[1]])
+        counts = _np.bincount(column.gids, minlength=len(accs))
+        for acc, total, n in zip(accs, totals.tolist(), counts.tolist()):
+            if n and not acc.errored:
+                acc.total = total
+                acc.n += n
 
     def finish(self, state):
         if self.seen is not None:
@@ -327,51 +396,50 @@ class _MinMax:
             if value_id in self.seen:
                 return
             self.seen.add(value_id)
-        key = self.state.sort_key(value_id)
+        self._offer(value_id, None)
+
+    def _offer(self, value_id, key) -> None:
+        """Keep ``value_id`` under the tie rules.  ``key`` is its sort key
+        or None; keys are computed only when a comparison needs them."""
         if self.best is None:
             self.best, self.best_key = value_id, key
-        elif self.is_max:
-            if key >= self.best_key:
-                self.best, self.best_key = value_id, key
-        elif key < self.best_key:
+            return
+        sort_key = self.state.sort_key
+        if key is None:
+            key = sort_key(value_id)
+        if self.best_key is None:
+            self.best_key = sort_key(self.best)
+        if (key >= self.best_key) if self.is_max else (key < self.best_key):
             self.best, self.best_key = value_id, key
 
-    def add_batch(self, ids, total, state) -> bool:
-        """Bulk min/max over per-distinct sort keys, replicating the
-        sequential tie rules: MIN keeps the earliest minimal value, MAX
-        the latest maximal one.  DISTINCT ties depend on global first
-        occurrences, so that mode replays rows instead."""
-        if ids is None or not len(ids):
-            return True
-        if self.seen is not None:
-            return False
-        sort_key = self.state.sort_key
-        if self.is_max:
-            # last occurrence = len - 1 - first occurrence in the reverse
-            uniq, rev_first = _np.unique(ids[::-1], return_index=True)
-            best = best_key = None
-            best_pos = -1
-            for j, term_id in enumerate(uniq.tolist()):
-                key = sort_key(term_id)
-                pos = int(len(ids)) - 1 - int(rev_first[j])
-                if best is None or key > best_key or (
-                        key == best_key and pos > best_pos):
-                    best, best_key, best_pos = term_id, key, pos
-            if self.best is None or best_key >= self.best_key:
-                self.best, self.best_key = best, best_key
-        else:
-            uniq, first = _np.unique(ids, return_index=True)
-            best = best_key = None
-            best_pos = -1
-            for j, term_id in enumerate(uniq.tolist()):
-                key = sort_key(term_id)
-                pos = int(first[j])
-                if best is None or key < best_key or (
-                        key == best_key and pos < best_pos):
-                    best, best_key, best_pos = term_id, key, pos
-            if self.best is None or best_key < self.best_key:
-                self.best, self.best_key = best, best_key
-        return True
+    @classmethod
+    def fold(cls, accs, gids, column, state) -> None:
+        """Each group's batch winner by (sort-key rank, row position) —
+        the earliest minimal row, the latest maximal one — offered to its
+        accumulator under the sequential tie rules.  DISTINCT ties depend
+        on global first occurrences, and a NaN literal leaves the order
+        partial, so those replay rows instead."""
+        if column is None:
+            return
+        ranked = None if accs[0].seen is not None else column.ranks(state)
+        if ranked is None:
+            column.replay(accs)
+            return
+        rank, keys = ranked
+        # lexsort is stable: within a (group, rank) run rows keep their order.
+        order = _np.lexsort((rank, column.gids))
+        ordered = column.gids[order]
+        change = ordered[1:] != ordered[:-1]
+        if accs[0].is_max:  # each group's last row: max rank, latest
+            edge = _np.flatnonzero(_np.append(change, True))
+        else:  # each group's first row: min rank, earliest
+            edge = _np.flatnonzero(_np.insert(change, 0, True))
+        rows = order[edge]
+        inverse = column.distinct()[1]
+        for gid, term_id, j in zip(ordered[edge].tolist(),
+                                   column.ids[rows].tolist(),
+                                   inverse[rows].tolist()):
+            accs[gid]._offer(term_id, None if keys is None else keys[j])
 
     def finish(self, state):
         if self.best is None:
@@ -389,10 +457,13 @@ class _Sample:
         if self.first is None and value_id is not None:
             self.first = value_id
 
-    def add_batch(self, ids, total, state) -> bool:
-        if self.first is None and ids is not None and len(ids):
-            self.first = int(ids[0])
-        return True
+    @classmethod
+    def fold(cls, accs, gids, column, state) -> None:
+        if column is None:
+            return
+        present, first = _np.unique(column.gids, return_index=True)
+        for gid, term_id in zip(present.tolist(), column.ids[first].tolist()):
+            accs[gid].add(term_id)
 
     def finish(self, state):
         if self.first is None:
@@ -422,28 +493,10 @@ class _GroupConcat:
             return
         self.parts.append(part)
 
-    def add_batch(self, ids, total, state) -> bool:
-        """String concatenation stays a row loop, but over a per-batch
-        decoded string table (one decode per distinct id)."""
-        if self.errored or ids is None or not len(ids):
-            return True
-        string = self.state.string
-        table = {
-            term_id: string(term_id) for term_id in _np.unique(ids).tolist()
-        }
-        seen = self.seen
-        parts = self.parts
-        for term_id in ids.tolist():
-            if seen is not None:
-                if term_id in seen:
-                    continue
-                seen.add(term_id)
-            part = table[term_id]
-            if part is _ERROR:
-                self.errored = True
-                return True
-            parts.append(part)
-        return True
+    @classmethod
+    def fold(cls, accs, gids, column, state) -> None:
+        if column is not None:
+            column.replay(accs)
 
     def finish(self, state):
         if self.errored:
@@ -677,16 +730,19 @@ class AggregatePlan:
             kwargs["distinct"] = True
         return (cls, body.slots.get(spec.arg.term), kwargs)
 
-    def _new_group(self, state):
+    def _new_group(self, state, rowwise: bool = True):
         """Fresh accumulators for one group, paired with their feeders.
 
         Returns ``(accumulators, feeders)`` where feeders are prebound
         ``(add_method, slot)`` pairs — the accumulation loop then costs one
         method call per aggregate per row with no per-row introspection.
+        The batched fold needs no feeders (``rowwise=False``).
         """
         accumulators = [
             cls(state, **kwargs) for cls, _slot, kwargs in self.builders
         ]
+        if not rowwise:
+            return accumulators, ()
         feeders = [
             (acc.add, slot)
             for acc, (_cls, slot, _kwargs) in zip(accumulators, self.builders)
@@ -697,8 +753,9 @@ class AggregatePlan:
         """Run the fused pipeline; returns ``(rows, variables)``.
 
         With ``vec`` (a :class:`repro.sparql.vectorized.VecConfig`) the
-        body executes batched and groups fold through the accumulators'
-        bulk entry points; otherwise rows stream tuple-at-a-time.  The
+        body executes batched and each batch folds through the
+        accumulators' grouped ``fold``; otherwise rows stream
+        tuple-at-a-time.  The
         caller (``Evaluator.select``) applies DISTINCT, ORDER BY with
         the bounded top-k heap, and OFFSET/LIMIT — identically for fused
         and term-space results.
@@ -715,7 +772,7 @@ class AggregatePlan:
             state = self._fold_batched(deadline, vec, groups)
         else:
             ctx = _ExecContext(self.body, deadline)
-            state = _ExecState(ctx.decode)
+            state = _ExecState(ctx.decode, self.body.dictionary.numeric)
             rows_iter, _ctx = self.body.rows_stream(deadline, ctx)
             key_slots = self.key_slots
             get_group = groups.get
@@ -762,106 +819,70 @@ class AggregatePlan:
         return out_rows, list(self.variables)
 
     def _fold_batched(self, deadline, vec, groups) -> "_ExecState":
-        """Consume batched body execution, folding whole column segments.
+        """Consume batched body execution, one grouped fold per batch.
 
-        Single-key (or keyless) grouping partitions each batch by key
-        id — groups are created in first-occurrence order, matching the
-        streaming dict — and feeds each accumulator its bound-id segment
-        in row order.  Multi-key grouping folds row-wise straight from
-        the batch columns instead (still batch-produced upstream).
-
-        Builds (and returns) the decode state over the batch run's own
-        execution context, so ids minted during the run decode.
+        Each batch's rows get dense group ids (:meth:`_batch_groups`),
+        then every accumulator class folds the whole batch into the
+        accumulators of those groups (``fold``).  Builds (and returns)
+        the decode state over the batch run's own execution context, so
+        ids minted during the run decode.
         """
-        from .vectorized import UNBOUND, _VecCtx, collect_batches
-
         vctx = _VecCtx(self.body, deadline, vec)
-        state = _ExecState(vctx.tctx.decode)
+        state = _ExecState(vctx.tctx.decode, self.body.dictionary.numeric)
         check = deadline.check
-        key_slots = self.key_slots
         for batch in collect_batches(self.body, deadline, vec, vctx):
             check()
-            if len(key_slots) > 1:
-                self._fold_batch_rows(batch, state, groups, check)
-                continue
-            col = None
-            if key_slots and key_slots[0] is not None:
-                col = batch.cols[key_slots[0]]
-            if col is None:
-                key = (None,) if key_slots else ()
-                segments = [(key, None)]
-            else:
-                uniq, first, inverse = _np.unique(
-                    col, return_index=True, return_inverse=True
-                )
-                if len(uniq) == 1:
-                    kid = int(uniq[0])
-                    segments = [((None if kid == UNBOUND else kid,), None)]
-                else:
-                    order = _np.argsort(inverse, kind="stable")
-                    bounds = _np.searchsorted(
-                        inverse[order], _np.arange(len(uniq) + 1)
-                    )
-                    segments = []
-                    for j in _np.argsort(first, kind="stable").tolist():
-                        kid = int(uniq[j])
-                        segments.append((
-                            (None if kid == UNBOUND else kid,),
-                            order[bounds[j]:bounds[j + 1]],
-                        ))
-            for key, rows_idx in segments:
-                entry = groups.get(key)
-                if entry is None:
-                    entry = self._new_group(state)
-                    groups[key] = entry
-                accumulators, feeders = entry
-                total = batch.n if rows_idx is None else int(len(rows_idx))
-                for acc, (add, slot) in zip(accumulators, feeders):
-                    ids = None
-                    if slot is not None:
-                        vcol = batch.cols[slot]
-                        if vcol is not None:
-                            sub = vcol if rows_idx is None else vcol[rows_idx]
-                            ids = sub[sub != UNBOUND]
-                    if not acc.add_batch(ids, total, state):
-                        # exact ordered fold for this accumulator only
-                        for term_id in ids.tolist():
-                            add(term_id)
+            gids, entries = self._batch_groups(batch, state, groups)
+            columns: dict[int | None, _Column | None] = {}
+            for j, (cls, slot, _kwargs) in enumerate(self.builders):
+                if slot not in columns:
+                    col = None if slot is None else batch.cols[slot]
+                    columns[slot] = None if col is None else _Column(gids, col)
+                cls.fold([entry[0][j] for entry in entries], gids,
+                         columns[slot], state)
         return state
 
-    def _fold_batch_rows(self, batch, state, groups, check) -> None:
-        """Row-wise fold directly from batch columns (slow-group path)."""
-        from .vectorized import UNBOUND
+    def _batch_groups(self, batch, state, groups):
+        """Dense per-row group ids for one batch, plus each id's entry.
 
-        key_slots = self.key_slots
-        needed = {slot for slot in key_slots if slot is not None}
-        needed.update(
-            slot for _cls, slot, _kwargs in self.builders if slot is not None
-        )
-        lists = {}
-        for slot in needed:
-            col = batch.cols[slot]
-            lists[slot] = None if col is None else col.tolist()
-
-        def cell(slot, i):
-            vals = lists[slot]
-            if vals is None:
-                return None
-            value = vals[i]
-            return None if value == UNBOUND else value
-
-        get_group = groups.get
-        for i in range(batch.n):
-            check()
-            key = tuple(
-                None if slot is None else cell(slot, i) for slot in key_slots
-            )
-            entry = get_group(key)
+        Ids follow first occurrence in the batch, so new groups enter
+        ``groups`` in the order the streaming dict would create them.
+        Multi-key grouping refines one ``np.unique`` inverse per key
+        column; only the batch's distinct keys touch the dict.
+        """
+        cols = [None if slot is None else batch.cols[slot]
+                for slot in self.key_slots]
+        varying = [col for col in cols if col is not None]
+        if not varying:
+            gids = _np.zeros(batch.n, dtype=_np.int64)
+            firsts = _np.zeros(1, dtype=_np.int64)
+        else:
+            code = varying[0]
+            for col in varying[1:]:
+                _uniq, code = _np.unique(code, return_inverse=True)
+                uniq, inverse = _np.unique(col, return_inverse=True)
+                code = code * len(uniq) + inverse
+            _uniq, first, inverse = _np.unique(
+                code, return_index=True, return_inverse=True)
+            order = _np.argsort(first, kind="stable")
+            renumber = _np.empty_like(order)
+            renumber[order] = _np.arange(len(order))
+            gids = renumber[inverse]
+            firsts = first[order]
+        key_cells = [
+            None if col is None else
+            [None if v == UNBOUND else v for v in col[firsts].tolist()]
+            for col in cols
+        ]
+        entries = []
+        for g in range(len(firsts)):
+            key = tuple(None if cells is None else cells[g] for cells in key_cells)
+            entry = groups.get(key)
             if entry is None:
-                entry = self._new_group(state)
+                entry = self._new_group(state, rowwise=False)
                 groups[key] = entry
-            for add, slot in entry[1]:
-                add(None if slot is None else cell(slot, i))
+            entries.append(entry)
+        return gids, entries
 
     def __repr__(self) -> str:
         return (

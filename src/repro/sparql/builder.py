@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 from ..rdf.terms import IRI, Literal, Term, Variable, literal_from_python
 from .ast import (
     Aggregate,
+    AskQuery,
     Comparison,
     Expression,
     Filter,
@@ -29,7 +30,7 @@ from .ast import (
     ValuesClause,
 )
 
-__all__ = ["SelectBuilder", "path", "var", "agg"]
+__all__ = ["SelectBuilder", "ask", "path", "var", "agg"]
 
 
 def var(name: str) -> Variable:
@@ -44,6 +45,13 @@ def path(*steps: IRI) -> IRI | SequencePath:
     if len(steps) == 1:
         return steps[0]
     return SequencePath(tuple(steps))
+
+
+def ask(*patterns: tuple) -> AskQuery:
+    """An ASK over ``(s, p, o)`` triple patterns; ``p`` may be a path."""
+    return AskQuery(GroupGraphPattern(tuple(
+        TriplePattern(s, p, o) for s, p, o in patterns
+    )))
 
 
 def agg(func: str, variable: Variable | None = None, distinct: bool = False) -> Aggregate:

@@ -117,7 +117,7 @@ class Evaluator:
             from .vectorized import VecConfig
 
             self.vec_config = VecConfig(batch_size=batch_size,
-                                        parallel=parallel)
+                                        parallel=parallel, stats=stats)
         else:
             self.vec_config = None
 

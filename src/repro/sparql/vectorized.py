@@ -23,18 +23,20 @@ Execution model:
   load-bearing: ``LIMIT`` without ``ORDER BY`` slices positionally.
 * **Expression kernels** — FILTER and BIND evaluate their register
   programs once per *distinct* id through a decode-once table (numeric
-  comparisons get a float fast path); EXISTS/NOT EXISTS collapse the
-  inner pipeline's source map to a per-row flag; MINUS folds the
+  comparisons read floats from the term dictionary's memo); EXISTS/NOT
+  EXISTS collapse the inner pipeline's source map to a per-row flag; MINUS folds the
   memoized right side into a removal mask; subqueries join their
   encoded result rows with the VALUES compatibility loop.
 * **Fast paths and fallback** — vectorized probes slice the sorted runs
   through cached composite keys (:meth:`Run.key12` + ``searchsorted``)
-  and are only sound when the run is the complete truth
-  (:meth:`TripleIndex.pure_run`); with buffered deltas/tombstones or a
-  mixed-boundness column, the affected operator falls back to the tuple
-  engine *per batch* (rows are round-tripped through the operator's own
-  ``run``), so every shape the tuple engine supports runs batched with
-  identical semantics.
+  or first-key offsets (a variable predicate) and are only sound when
+  the run is the complete truth (:meth:`TripleIndex.pure_run`); with
+  buffered deltas/tombstones or a mixed-boundness column, the affected
+  operator falls back to the tuple engine *per batch* (rows are
+  round-tripped through the operator's own ``run``, and counted as
+  ``fallback_batch_rows``), so every shape the tuple engine supports
+  runs batched with identical semantics.  Property paths run their
+  id-space closure once per distinct input pair.
 * **Morsel-driven parallelism** — when the first scheduled operator is a
   driving ``IndexScan`` over a pure run, its row range is split into
   batch-size morsels; with ``parallel > 1`` the morsels are dispatched
@@ -64,6 +66,7 @@ import numpy as _np
 
 from ..errors import QueryEvaluationError, QueryTimeoutError
 from ..rdf.terms import Literal, Variable
+from ..store.index import MALFORMED, NOT_NUMERIC, numeric_of
 from .ast import Comparison, TermExpr
 from .expressions import ExpressionError, effective_boolean_value
 from .operators import (
@@ -77,10 +80,12 @@ from .operators import (
     LeftJoin,
     MinusJoin,
     NestedProbe,
+    PathClosure,
     SubqueryScan,
     UnionOp,
     ValuesBind,
     _StepOp,
+    _path_pairs,
 )
 
 __all__ = [
@@ -122,12 +127,16 @@ class VecConfig:
     """Normalized batched-execution settings.
 
     ``parallel`` counts morsel workers: ``None``/1 means serial, 0 means
-    one worker per CPU, N means at most N threads.
+    one worker per CPU, N means at most N threads.  ``stats`` is an
+    optional :class:`~repro.store.endpoint.EndpointStats` sink for
+    ``fallback_batch_rows``.
     """
 
-    __slots__ = ("batch_size", "parallel")
+    __slots__ = ("batch_size", "parallel", "stats")
 
-    def __init__(self, batch_size: int | None = None, parallel: int | None = None):
+    def __init__(self, batch_size: int | None = None, parallel: int | None = None,
+                 stats=None):
+        self.stats = stats
         self.batch_size = int(batch_size) if batch_size else DEFAULT_BATCH_SIZE
         if self.batch_size < 1:
             self.batch_size = 1
@@ -243,7 +252,11 @@ def _from_rows(rows: list[list], width: int) -> Batch:
 
 def _per_row(op, batch: Batch, vctx: _VecCtx):
     """Run one tuple operator over a batch's rows (the universal
-    fallback): identical semantics by construction, still batch-framed."""
+    fallback): identical semantics by construction, still batch-framed.
+    The rows are counted as ``fallback_batch_rows``."""
+    stats = vctx.config.stats
+    if stats is not None:
+        stats.add("fallback_batch_rows", batch.n)
     width = batch.width
     rows = _to_tagged_rows(batch)
     out_rows = list(op.run(iter(rows), vctx.tctx))
@@ -334,26 +347,36 @@ def _compose(outer, inner):
 # --------------------------------------------------------------------------
 
 
+def _classify(batch: Batch, const, slot):
+    """One pattern position over a batch: ``("k", constant)``, ``("w",
+    slot)`` (unbound in every row), ``("b", slot)`` (bound in every
+    row), or None for mixed boundness (per-row fallback)."""
+    if slot is None:
+        return ("k", const)
+    state = batch.state(slot)
+    if state == "none":
+        return ("w", slot)
+    if state == "all":
+        return ("b", slot)
+    return None
+
+
+def _values(kind, batch: Batch):
+    """The constant or the bound column of a classified position."""
+    return kind[1] if kind[0] == "k" else batch.cols[kind[1]]
+
+
 def _run_step(op: _StepOp, batch: Batch, vctx: _VecCtx):
     """One join step over a whole batch via composite-key searchsorted."""
     sc, ss, pc, ps, oc, os_ = op.step
-    if ps is not None or pc is None:
-        return _per_row(op, batch, vctx)  # variable predicate: rare shape
-
-    def classify(const, slot):
-        if slot is None:
-            return ("k", const)
-        state = batch.state(slot)
-        if state == "none":
-            return ("w", slot)
-        if state == "all":
-            return ("b", slot)
-        return None  # mixed boundness: per-row fallback
-
-    s_kind = classify(sc, ss)
-    o_kind = classify(oc, os_)
+    s_kind = _classify(batch, sc, ss)
+    o_kind = _classify(batch, oc, os_)
     if s_kind is None or o_kind is None:
         return _per_row(op, batch, vctx)
+    if ps is not None:
+        if batch.state(ps) != "none":
+            return _per_row(op, batch, vctx)  # per-row predicate: rare shape
+        return _run_open_predicate(op, s_kind, o_kind, batch, vctx)
     pure = vctx.index.pure_run
     m = len(vctx.plan.dictionary)
     n = batch.n
@@ -363,9 +386,8 @@ def _run_step(op: _StepOp, batch: Batch, vctx: _VecCtx):
         run = pure(0)
         if run is None:
             return _per_row(op, batch, vctx)
-        a_vals = s_kind[1] if s_kind[0] == "k" else batch.cols[s_kind[1]]
         try:
-            parent, pos = _probe_positions(run, m, a_vals, pc, n)
+            parent, pos = _probe_positions(run, m, _values(s_kind, batch), pc, n)
         except _ExpansionLimit:
             return _per_row(op, batch, vctx)
         if parent is None:
@@ -379,9 +401,8 @@ def _run_step(op: _StepOp, batch: Batch, vctx: _VecCtx):
         run = pure(1)
         if run is None:
             return _per_row(op, batch, vctx)
-        a_vals = o_kind[1] if o_kind[0] == "k" else batch.cols[o_kind[1]]
         try:
-            parent, pos = _probe_positions(run, m, pc, a_vals, n)
+            parent, pos = _probe_positions(run, m, pc, _values(o_kind, batch), n)
         except _ExpansionLimit:
             return _per_row(op, batch, vctx)
         if parent is None:
@@ -395,9 +416,8 @@ def _run_step(op: _StepOp, batch: Batch, vctx: _VecCtx):
         run = pure(0)
         if run is None:
             return _per_row(op, batch, vctx)
-        s_vals = s_kind[1] if s_kind[0] == "k" else batch.cols[s_kind[1]]
-        o_vals = o_kind[1] if o_kind[0] == "k" else batch.cols[o_kind[1]]
-        mask = _contains_mask(run, m, s_vals, o_vals, pc, n)
+        mask = _contains_mask(run, m, _values(s_kind, batch),
+                              _values(o_kind, batch), pc, n)
         idx = _np.nonzero(mask)[0]
         return _apply_eqs(_take(batch, idx), idx, op.eqs)
 
@@ -406,69 +426,79 @@ def _run_step(op: _StepOp, batch: Batch, vctx: _VecCtx):
     run = pure(1)
     if run is None:
         return _per_row(op, batch, vctx)
-    lo, hi = run.range1(pc)
-    span = hi - lo
-    if span == 0 or n == 0:
-        return _empty(batch.width), _np.empty(0, _np.int64)
-    if n * span > _MAX_EXPANSION:
+    try:
+        parent, pos = _first_key_positions(run, pc, n)
+    except _ExpansionLimit:
         return _per_row(op, batch, vctx)
+    if parent is None:
+        return _empty(batch.width), _np.empty(0, _np.int64)
     _a, b_np, c_np, _st = run.as_numpy()
-    parent = _np.repeat(_np.arange(n, dtype=_np.int64), span)
-    subjects = _np.tile(c_np[lo:hi], n)
-    objects = _np.tile(b_np[lo:hi], n)
-    out = _expand(batch, parent, {ss: subjects, os_: objects})
+    out = _expand(batch, parent, {ss: c_np[pos], os_: b_np[pos]})
     return _apply_eqs(out, parent, op.eqs)
 
 
-def _probe_positions(run, m, a_vals, b_vals, n):
-    """Per-row run ranges for two bound leading keys, ragged-expanded.
+def _run_open_predicate(op: _StepOp, s_kind, o_kind, batch: Batch,
+                        vctx: _VecCtx):
+    """A step whose predicate variable is unbound in every row.
 
-    Returns ``(parent, pos)``: for every match, the input row it extends
-    and its row index inside the run — in (row-outer, run-order-inner)
-    order, matching the tuple engine's scan loops.  Either key may be a
-    scalar constant or a per-row column; broadcasting covers both probe
-    orientations.
+    A bound subject binds predicate and object from its SPO range, a
+    bound object binds subject and predicate from its OSP range, and
+    both bound read the predicates of their OSP ``(o, s)`` range — each
+    in the run order the tuple engine's scans emit.  Both ends free (a
+    full scan) takes the per-row fallback.
+    """
+    _sc, ss, _pc, ps, _oc, os_ = op.step
+    pure = vctx.index.pure_run
+    n = batch.n
+    if s_kind[0] != "w" and o_kind[0] == "w":
+        which, bind = 0, {ps: 1, os_: 2}  # SPO: a=s, b=p, c=o
+    elif s_kind[0] == "w" and o_kind[0] != "w":
+        which, bind = 2, {ss: 1, ps: 2}  # OSP: a=o, b=s, c=p
+    elif s_kind[0] != "w":
+        which, bind = 2, {ps: 2}
+    else:
+        return _per_row(op, batch, vctx)
+    run = pure(which)
+    if run is None:
+        return _per_row(op, batch, vctx)
+    try:
+        if len(bind) == 2:
+            first = s_kind if which == 0 else o_kind
+            parent, pos = _first_key_positions(run, _values(first, batch), n)
+        else:
+            parent, pos = _probe_positions(
+                run, len(vctx.plan.dictionary), _values(o_kind, batch),
+                _values(s_kind, batch), n)
+    except _ExpansionLimit:
+        return _per_row(op, batch, vctx)
+    if parent is None:
+        return _empty(batch.width), _np.empty(0, _np.int64)
+    cols = run.as_numpy()
+    out = _expand(batch, parent, {slot: cols[col][pos]
+                                  for slot, col in bind.items()})
+    return _apply_eqs(out, parent, op.eqs)
 
-    Negative key components are plan-local pseudo ids — terms the store
-    has never seen, which match nothing — and they must be neutralized
-    *before* forming the composite ``a * m + b``: a negative second
-    component aliases the key of the previous first-key group
-    (``a*m - k == (a-1)*m + (m-k)``), which would emit false joins.
-    Rows holding one are probed with ``-1``, below every real key, so
-    they miss.  (A negative *first* component already yields a negative
-    composite and misses on its own, but masking both is cheapest.)
+
+def _ranges_to_positions(lo, hi, n):
+    """Ragged-expand run ranges ``[lo, hi)`` — one shared scalar range or
+    one per input row — into ``(parent, pos)``: for every match, the
+    input row it extends and its row index inside the run, in
+    (row-outer, run-order-inner) order, matching the tuple engine's scan
+    loops.  ``(None, None)`` when nothing matches.
 
     Raises :class:`_ExpansionLimit` when the total fan-out exceeds
     :data:`_MAX_EXPANSION` — the caller falls back to the tuple operator
     instead of attempting one unbounded allocation.
     """
-    keys = run.key12(m)
-    scalar_a = not hasattr(a_vals, "__len__")
-    scalar_b = not hasattr(b_vals, "__len__")
-    if (scalar_a and a_vals < 0) or (scalar_b and b_vals < 0):
-        return None, None  # constant pseudo id: no stored triple matches
-    if scalar_a and scalar_b:
-        lo = int(_np.searchsorted(keys, a_vals * m + b_vals, side="left"))
-        hi = int(_np.searchsorted(keys, a_vals * m + b_vals, side="right"))
+    if not hasattr(lo, "__len__"):
         span = hi - lo
-        if span == 0 or n == 0:
+        if span <= 0 or n == 0:
             return None, None
         if n * span > _MAX_EXPANSION:
             raise _ExpansionLimit
         parent = _np.repeat(_np.arange(n, dtype=_np.int64), span)
         pos = _np.tile(_np.arange(lo, hi, dtype=_np.int64), n)
         return parent, pos
-    query = a_vals * m + b_vals
-    invalid = None
-    if not scalar_a:
-        invalid = a_vals < 0
-    if not scalar_b:
-        neg_b = b_vals < 0
-        invalid = neg_b if invalid is None else (invalid | neg_b)
-    if invalid is not None and bool(invalid.any()):
-        query = _np.where(invalid, _np.int64(-1), query)
-    lo = _np.searchsorted(keys, query, side="left")
-    hi = _np.searchsorted(keys, query, side="right")
     counts = hi - lo
     total = int(counts.sum())
     if total == 0:
@@ -483,6 +513,62 @@ def _probe_positions(run, m, a_vals, b_vals, n):
         + _np.repeat(lo, counts)
     )
     return parent, pos
+
+
+def _first_key_positions(run, a_vals, n):
+    """Per-row ranges of one leading key (:meth:`Run.range1`), expanded
+    by :func:`_ranges_to_positions`; ``a_vals`` is a scalar or a column.
+    Keys outside the offset array — pseudo ids included — match nothing."""
+    if not hasattr(a_vals, "__len__"):
+        lo, hi = run.range1(a_vals)
+        return _ranges_to_positions(lo, hi, n)
+    starts = run.as_numpy()[3]
+    valid = (a_vals >= 0) & (a_vals < len(starts) - 1)
+    if not bool(valid.any()):
+        return None, None
+    idx = _np.where(valid, a_vals, 0)
+    lo = starts[idx]
+    hi = _np.where(valid, starts[idx + 1], lo)
+    return _ranges_to_positions(lo, hi, n)
+
+
+def _probe_positions(run, m, a_vals, b_vals, n):
+    """Per-row run ranges for two bound leading keys, ragged-expanded by
+    :func:`_ranges_to_positions`.
+
+    Either key may be a scalar constant or a per-row column;
+    broadcasting covers both probe orientations.
+
+    Negative key components are plan-local pseudo ids — terms the store
+    has never seen, which match nothing — and they must be neutralized
+    *before* forming the composite ``a * m + b``: a negative second
+    component aliases the key of the previous first-key group
+    (``a*m - k == (a-1)*m + (m-k)``), which would emit false joins.
+    Rows holding one are probed with ``-1``, below every real key, so
+    they miss.  (A negative *first* component already yields a negative
+    composite and misses on its own, but masking both is cheapest.)
+    """
+    keys = run.key12(m)
+    scalar_a = not hasattr(a_vals, "__len__")
+    scalar_b = not hasattr(b_vals, "__len__")
+    if (scalar_a and a_vals < 0) or (scalar_b and b_vals < 0):
+        return None, None  # constant pseudo id: no stored triple matches
+    if scalar_a and scalar_b:
+        lo = int(_np.searchsorted(keys, a_vals * m + b_vals, side="left"))
+        hi = int(_np.searchsorted(keys, a_vals * m + b_vals, side="right"))
+        return _ranges_to_positions(lo, hi, n)
+    query = a_vals * m + b_vals
+    invalid = None
+    if not scalar_a:
+        invalid = a_vals < 0
+    if not scalar_b:
+        neg_b = b_vals < 0
+        invalid = neg_b if invalid is None else (invalid | neg_b)
+    if invalid is not None and bool(invalid.any()):
+        query = _np.where(invalid, _np.int64(-1), query)
+    lo = _np.searchsorted(keys, query, side="left")
+    hi = _np.searchsorted(keys, query, side="right")
+    return _ranges_to_positions(lo, hi, n)
 
 
 def _contains_mask(run, m, s_vals, o_vals, pc, n):
@@ -526,12 +612,12 @@ def _contains_mask(run, m, s_vals, o_vals, pc, n):
 def _run_filter(op: FilterOp, batch: Batch, vctx: _VecCtx):
     """FILTER over a batch, in three tiers per constraint.
 
-    Numeric ``?v OP literal`` comparisons vectorize through a
-    decode-once float table per distinct id; every other constraint
-    whose register program reads at most one bound column evaluates the
-    program once per distinct id into a boolean table (exact expression
-    semantics, errors remove the row); multi-column programs fall back
-    to the tuple operator for the whole batch.
+    Numeric ``?v OP literal`` comparisons vectorize through a float per
+    distinct id, read from the term dictionary's memo; every other
+    constraint whose register program reads at most one bound column
+    evaluates the program once per distinct id into a boolean table
+    (exact expression semantics, errors remove the row); multi-column
+    programs fall back to the tuple operator for the whole batch.
     """
     mask = None
     for constraint, program in zip(op.filters, op.programs):
@@ -635,7 +721,7 @@ def _vectorizable_comparison(op: FilterOp, constraint, batch: Batch):
 
 
 def _numeric_column(col, vctx: _VecCtx):
-    """Float64 view of a column via a decode-once distinct-value table.
+    """Float64 view of a column via the term dictionary's numeric memo.
 
     Non-numeric terms map to NaN: every NaN comparison is False, which
     matches both the SPARQL error-removes-row rule for ``<``/``>`` and
@@ -644,21 +730,68 @@ def _numeric_column(col, vctx: _VecCtx):
     (returns None) — the tuple engine's exact error semantics apply.
     """
     uniq, inverse = _np.unique(col, return_inverse=True)
+    numeric = vctx.plan.dictionary.numeric
     decode = vctx.tctx.decode
-    table = _np.empty(len(uniq), dtype=_np.float64)
-    for j, term_id in enumerate(uniq.tolist()):
-        term = decode(term_id)
-        if isinstance(term, Literal) and term.is_numeric:
-            try:
-                value = float(term.numeric_value())
-            except (ValueError, TypeError, ArithmeticError):
-                return None
-            if abs(value) >= _FLOAT_EXACT_LIMIT:
-                return None
-            table[j] = value
-        else:
-            table[j] = _np.nan
-    return table[inverse]
+    table = []
+    for term_id in uniq.tolist():
+        value = numeric(term_id) if term_id >= 0 else numeric_of(decode(term_id))
+        if value is NOT_NUMERIC:
+            value = _np.nan
+        elif value is MALFORMED or abs(value) >= _FLOAT_EXACT_LIMIT:
+            return None
+        table.append(value)
+    return _np.array(table, dtype=_np.float64)[inverse]
+
+
+def _cells(const, slot, batch: Batch) -> list:
+    """Per-row ids of one pattern position, None where unbound."""
+    if slot is None:
+        return [const] * batch.n
+    col = batch.cols[slot]
+    if col is None:
+        return [None] * batch.n
+    return [None if v == UNBOUND else v for v in col.tolist()]
+
+
+def _run_path(op: PathClosure, batch: Batch, vctx: _VecCtx):
+    """Property path over a batch: the id-space closure runs once per
+    distinct (subject, object) input pair, and its deduplicated pairs
+    expand through a parent-index gather — the tuple operator's per-row
+    semantics (``?x path ?x`` keeps the diagonal of the free pairs)
+    without its row round trip."""
+    ctx = vctx.tctx
+    check = ctx.check
+    same_slot = op.s_slot is not None and op.s_slot == op.o_slot
+    memo: dict[tuple, list] = {}
+    counts = []
+    subjects: list[int] = []
+    objects: list[int] = []
+    for key in zip(_cells(op.s_const, op.s_slot, batch),
+                   _cells(op.o_const, op.o_slot, batch)):
+        pairs = memo.get(key)
+        if pairs is None:
+            s, o = key
+            pairs = []
+            for sid, oid in _path_pairs(ctx, op.path, s, o):
+                check()
+                if not (same_slot and s is None) or sid == oid:
+                    pairs.append((sid, oid))
+            memo[key] = pairs
+        counts.append(len(pairs))
+        for sid, oid in pairs:
+            subjects.append(sid)
+            objects.append(oid)
+    if not subjects:
+        return _empty(batch.width), _np.empty(0, _np.int64)
+    parent = _np.repeat(_np.arange(batch.n, dtype=_np.int64), counts)
+    # A position bound on input yields itself in every pair, so writing
+    # the pair ids is exact for bound and unbound rows alike.
+    bound = {}
+    if op.s_slot is not None:
+        bound[op.s_slot] = _np.array(subjects, dtype=_np.int64)
+    if op.o_slot is not None and not same_slot:
+        bound[op.o_slot] = _np.array(objects, dtype=_np.int64)
+    return _expand(batch, parent, bound), parent
 
 
 def _run_values(op: ValuesBind, batch: Batch, vctx: _VecCtx):
@@ -924,8 +1057,10 @@ def _run_op(op, batch: Batch, vctx: _VecCtx):
         return _run_leftjoin(op, batch, vctx)
     if isinstance(op, UnionOp):
         return _run_union(op, batch, vctx)
-    # PathClosure, _BindRebind (which must raise, not compute) and
-    # anything future: the universal tuple fallback.
+    if isinstance(op, PathClosure):
+        return _run_path(op, batch, vctx)
+    # _BindRebind (which must raise, not compute) and anything future:
+    # the universal tuple fallback.
     return _per_row(op, batch, vctx)
 
 
@@ -975,7 +1110,8 @@ def _find_driver(plan, ops):
     Three shapes map to a contiguous run range: ``?s <p> ?o`` (POS
     range1), ``?s <p> <o>`` (POS range2) and ``<s> <p> ?o`` (SPO
     range2).  Requires a pure columnar run — with buffered deltas the
-    whole plan falls back to the single-seed path (still batched)."""
+    plan starts from a single seed row instead, and every join step
+    then runs through the per-row fallback."""
     if not ops or not isinstance(ops[0], IndexScan):
         return None
     sc, ss, pc, ps, oc, os_ = ops[0].step

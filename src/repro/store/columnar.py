@@ -162,14 +162,11 @@ def build_run_from_columns(a, b, c) -> Run:
     return Run(a, b, c, _first_key_offsets(_np.frombuffer(a, dtype=_np.int64)))
 
 
-def merge_run(
-    run: Run,
-    added: list[tuple[int, int, int]],
-    dead_rows: list[int],
-) -> Run:
+def merge_run(run: Run, added, dead_rows: list[int]) -> Run:
     """Merge delta rows into a run, dropping tombstoned row indices.
 
-    ``added`` rows are in arbitrary order; ``dead_rows`` are row indices
+    ``added`` is three equal-length int64 columns (in this run's key
+    order) of rows in arbitrary order; ``dead_rows`` are row indices
     *within this run* (each dead triple's position found via
     :meth:`Run.find` by the caller).
     """
@@ -182,11 +179,10 @@ def merge_run(
             a, b, c = a[keep], b[keep], c[keep]
     else:
         a = b = c = _np.empty(0, dtype=_np.int64)
-    if added:
-        m = len(added)
-        a = _np.concatenate([a, _np.fromiter((r[0] for r in added), _np.int64, m)])
-        b = _np.concatenate([b, _np.fromiter((r[1] for r in added), _np.int64, m)])
-        c = _np.concatenate([c, _np.fromiter((r[2] for r in added), _np.int64, m)])
+    if len(added[0]):
+        a = _np.concatenate([a, added[0]])
+        b = _np.concatenate([b, added[1]])
+        c = _np.concatenate([c, added[2]])
     if not len(a):
         return EMPTY_RUN
     return _finish(a, b, c)

@@ -206,6 +206,8 @@ class Dataset:
         dataset = cls()
         for item in parse_nquads(source):
             dataset.add(item)
+        for graph in (dataset._default, *dataset._named.values()):
+            graph.triple_index.settle()
         return dataset
 
     def to_nquads(self, out=None) -> str | None:

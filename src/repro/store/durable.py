@@ -222,6 +222,7 @@ class DurableGraph(Graph):
                 Graph.add(graph, triple)
             else:
                 Graph.remove(graph, triple)
+        graph._index.settle()
         report.replayed_records = len(records)
         report.torn_bytes = replay_report.torn_bytes
         graph._recovery = report
@@ -330,6 +331,7 @@ class DurableGraph(Graph):
         for triple in batch:
             if Graph.add(self, triple):
                 added += 1
+        self._index.settle()
         self._note_writes(len(batch))
         return added
 

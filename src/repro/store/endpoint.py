@@ -158,6 +158,8 @@ class EndpointStats:
     fallback_selects: int = 0  #: non-aggregate SELECTs run on the term-space path
     batched_executions: int = 0  #: compiled plans run block-at-a-time (vectorized)
     tuple_executions: int = 0  #: compiled plans run tuple-at-a-time
+    #: rows a batched plan sent through the per-row tuple fallback
+    fallback_batch_rows: int = 0
     #: why the compiler declined, tallied by the first decline reason string
     #: (covers both plain-SELECT and aggregate fallbacks)
     decline_reasons: dict = field(default_factory=dict, compare=False)

@@ -129,11 +129,16 @@ class Graph:
         return added
 
     def add_all(self, triples: Iterable[Triple]) -> int:
-        """Insert many triples; returns the number actually added."""
+        """Insert many triples; returns the number actually added.
+
+        A bulk write ends settled (:meth:`TripleIndex.settle`): a load
+        that is large next to the graph leaves sorted runs, not a delta.
+        """
         added = 0
         for triple in triples:
             if self.add(triple):
                 added += 1
+        self._index.settle()
         return added
 
     def remove(self, triple: Triple) -> bool:

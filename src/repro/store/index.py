@@ -43,10 +43,16 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from ..rdf.terms import Node
+import numpy as _np
+
+from ..rdf.terms import Literal, Node
 from .columnar import EMPTY_RUN, Run, merge_run
 
 __all__ = [
+    "MALFORMED",
+    "NOT_NUMERIC",
+    "NumericMemo",
+    "numeric_of",
     "TermDictionary",
     "TripleIndex",
     "DictTripleIndex",
@@ -85,14 +91,65 @@ class PredicateStats:
 _EMPTY_STATS = PredicateStats(0, 0, 0)
 
 
-class TermDictionary:
+class _Marker:
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __repr__(self) -> str:
+        return self.name
+
+
+#: :meth:`NumericMemo.numeric` for a term that is not a numeric literal.
+NOT_NUMERIC = _Marker("NOT_NUMERIC")
+#: :meth:`NumericMemo.numeric` for a numeric literal whose lexical form is
+#: NaN or does not parse (``numeric_value()`` raises for it).
+MALFORMED = _Marker("MALFORMED")
+
+
+def numeric_of(term: Node):
+    """The float an aggregate or comparison reads for ``term``, else
+    :data:`NOT_NUMERIC` or :data:`MALFORMED`."""
+    if not isinstance(term, Literal) or not term.is_numeric:
+        return NOT_NUMERIC
+    try:
+        return term.numeric_value()
+    except ValueError:
+        return MALFORMED
+
+
+class NumericMemo:
+    """Mixin giving a term dictionary a lazily filled id → number memo.
+
+    Filled the first time an id is aggregated or compared; ids are
+    append-only, so an entry stays valid for the dictionary's lifetime.
+    It grows with the ids actually looked up, not with the dictionary.
+    Plain dict reads and writes keep it safe for concurrent readers (a
+    race only recomputes the same value).  Plan-local negative ids are
+    not dictionary ids and never reach it.
+    """
+
+    __slots__ = ()
+
+    def numeric(self, term_id: int):
+        """``numeric_of(self.decode(term_id))``, memoized."""
+        value = self._numbers.get(term_id)
+        if value is None:
+            value = numeric_of(self.decode(term_id))
+            self._numbers[term_id] = value
+        return value
+
+
+class TermDictionary(NumericMemo):
     """Bidirectional mapping between RDF terms and dense integer ids."""
 
-    __slots__ = ("_term_to_id", "_id_to_term")
+    __slots__ = ("_term_to_id", "_id_to_term", "_numbers")
 
     def __init__(self) -> None:
         self._term_to_id: dict[Node, int] = {}
         self._id_to_term: list[Node] = []
+        self._numbers: dict[int, object] = {}
 
     def __len__(self) -> int:
         return len(self._id_to_term)
@@ -389,7 +446,8 @@ class TripleIndex:
     ``flush()`` merges delta and tombstones into fresh runs; it triggers
     automatically once ``delta + tombstones`` exceeds
     ``max(flush_threshold, run_rows // 4)``, which keeps total merge work
-    amortized-linear over an ingest.
+    amortized-linear over an ingest.  Bulk writers end with
+    :meth:`settle`, which drops the ``flush_threshold`` floor.
     """
 
     __slots__ = (
@@ -517,6 +575,20 @@ class TripleIndex:
         if pending >= self._flush_threshold and pending >= self._runs[0].n >> 2:
             self.flush()
 
+    def settle(self) -> None:
+        """End of a bulk write: merge once pending mutations reach a quarter
+        of the run.
+
+        The amortized half of the automatic rule without the
+        ``flush_threshold`` floor, so a bulk-loaded graph of any size
+        leaves its delta in sorted runs — where batched scans and probes
+        need it (:meth:`pure_run`) — while a small write on a large run
+        stays buffered.
+        """
+        pending = self._delta_size + len(self._dead)
+        if pending and pending >= self._runs[0].n >> 2:
+            self.flush()
+
     # -- mutation -----------------------------------------------------------
 
     def add(self, s: int, p: int, o: int) -> bool:
@@ -582,15 +654,18 @@ class TripleIndex:
         """Merge the delta buffer and tombstones into fresh sorted runs."""
         if not self._delta_size and not self._dead:
             return
-        delta: list[tuple[int, int, int]] = []
+        # Flat per-position lists: no tuple per triple.
+        columns: tuple[list, list, list] = ([], [], [])
         for s, by_p in self._dspo.items():
             for p, objs in by_p.items():
-                for o in objs:
-                    delta.append((s, p, o))
+                columns[0].extend([s] * len(objs))
+                columns[1].extend([p] * len(objs))
+                columns[2].extend(objs)
+        delta = [_np.array(col, dtype=_np.int64) for col in columns]
         dead = self._dead
         new_runs = []
         for (i, j, k), run in zip(_PERMS, self._runs):
-            added = [(t[i], t[j], t[k]) for t in delta]
+            added = (delta[i], delta[j], delta[k])
             dead_rows = [run.find(t[i], t[j], t[k]) for t in dead]
             new_runs.append(merge_run(run, added, dead_rows))
         self._runs = new_runs

@@ -44,7 +44,7 @@ from ..errors import ReadOnlySnapshotError, SnapshotError
 from ..rdf.terms import BNode, IRI, Literal, Node
 from .columnar import Run, build_run_from_columns
 from .graph import Graph
-from .index import DEFAULT_FLUSH_THRESHOLD, TripleIndex
+from .index import DEFAULT_FLUSH_THRESHOLD, NumericMemo, TripleIndex
 from .wal import fsync_directory
 
 __all__ = [
@@ -124,7 +124,7 @@ def decode_term(data: bytes) -> Node:
     raise SnapshotError(f"unknown term tag {data[:2]!r} in snapshot")
 
 
-class SnapshotTermDictionary:
+class SnapshotTermDictionary(NumericMemo):
     """A term dictionary decoding lazily from a snapshot's term segment.
 
     Implements the :class:`~repro.store.index.TermDictionary` API.  Ids
@@ -136,7 +136,7 @@ class SnapshotTermDictionary:
     """
 
     __slots__ = ("_offsets", "_order", "_blob", "_base",
-                 "_cache", "_extra_ids", "_extra_terms")
+                 "_cache", "_extra_ids", "_extra_terms", "_numbers")
 
     def __init__(self, offsets, order, blob) -> None:
         self._offsets = offsets  # int64 view, base+1 entries into blob
@@ -146,6 +146,7 @@ class SnapshotTermDictionary:
         self._cache: dict[int, Node] = {}
         self._extra_ids: dict[Node, int] = {}
         self._extra_terms: list[Node] = []
+        self._numbers: dict[int, object] = {}
 
     def __len__(self) -> int:
         return self._base + len(self._extra_terms)

@@ -486,40 +486,46 @@ class TestBoundedTopK:
 
 
 class TestBatchedSumExactness:
-    """_Sum.add_batch may group v*c only while every float addition the
-    sequential fold would perform is exact — each value an integer below
-    2**53 *and* |total| + Σ|v|·c below 2**53 (the bound on every
-    intermediate partial sum) — otherwise it declines and the caller
-    replays rows in order, keeping batched == tuple bit-for-bit."""
+    """_Sum.fold must add each group's values in row order, onto the
+    running total: wherever float additions round (a total at 2**53, a
+    non-integer total), summing the batch first and adding it once would
+    break batched == tuple bit-for-bit."""
 
-    def _sum_over(self, values_by_id):
-        from repro.sparql.aggregator import _ExecState, _Sum
+    def _fold(self, values_by_id, ids, total=0.0):
+        """One group folded twice: grouped, and row by row via ``add``."""
+        np = pytest.importorskip("numpy")
+        from repro.sparql.aggregator import _Column, _ExecState, _Sum
+        from repro.store.index import numeric_of
 
         terms = {i: literal_from_python(v) for i, v in values_by_id.items()}
-        state = _ExecState(terms.__getitem__)
-        return _Sum(state), state
+        state = _ExecState(terms.__getitem__, lambda i: numeric_of(terms[i]))
+        grouped, rowwise = _Sum(state), _Sum(state)
+        grouped.total = rowwise.total = total
+        col = np.array(ids, dtype=np.int64)
+        gids = np.zeros(len(ids), dtype=np.int64)
+        _Sum.fold([grouped], gids, _Column(gids, col), state)
+        for term_id in ids:
+            rowwise.add(term_id)
+        return grouped, rowwise
 
     def test_small_integer_batch_folds(self):
-        np = pytest.importorskip("numpy")
-        acc, state = self._sum_over({0: 3, 1: 4})
-        assert acc.add_batch(np.array([0, 1, 0]), 3, state) is True
-        assert acc.total == 10.0
-        assert acc.n == 3
+        grouped, _rowwise = self._fold({0: 3, 1: 4}, [0, 1, 0])
+        assert grouped.total == 10.0
+        assert grouped.n == 3
 
     def test_declines_when_batch_mass_exceeds_exact_range(self):
-        np = pytest.importorskip("numpy")
-        # Each value passes the per-value check, but three of them push
-        # the total past 2**53 where float addition stops being exact.
-        acc, state = self._sum_over({0: 2 ** 52})
-        assert acc.add_batch(np.array([0, 0, 0]), 3, state) is False
-        assert acc.total == 0.0 and acc.n == 0
+        # From a running total of 2**53, each +1 rounds back down
+        # (ties-to-even); summing the batch first would give 2**53 + 2.
+        grouped, rowwise = self._fold({0: 1}, [0, 0], total=2.0 ** 53)
+        assert grouped.total == rowwise.total == 2.0 ** 53
+        assert grouped.n == rowwise.n == 2
 
     def test_declines_on_noninteger_running_total(self):
-        np = pytest.importorskip("numpy")
-        acc, state = self._sum_over({0: 1})
-        acc.total = 0.5  # an earlier inexact batch was replayed per-row
-        assert acc.add_batch(np.array([0]), 1, state) is False
-        assert acc.total == 0.5
+        # An earlier inexact batch left 0.5: in row order the second
+        # addition rounds (2**52 + 0.5 -> 2**52); the batch sum would not.
+        grouped, rowwise = self._fold({0: 2 ** 52 - 1, 1: 1}, [0, 1, 1],
+                                      total=0.5)
+        assert grouped.total == rowwise.total == 2.0 ** 52 + 1
 
     def test_large_value_sum_parity_end_to_end(self):
         # 3 × (2**53 - 1): sequential float folding rounds differently

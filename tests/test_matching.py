@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.core import find_interpretations
-from repro.rdf import IRI
+from repro.core import VirtualSchemaGraph, find_interpretations
+from repro.datasets import generate_dbpedia, generate_eurostat, generate_production
+from repro.qb import OBSERVATION_CLASS
+from repro.rdf import IRI, Literal
+from repro.rdf.namespace import RDFS
+from repro.sparql import parse_query
 
 MINI = "http://example.org/mini/"
 
@@ -68,3 +72,64 @@ class TestFindInterpretations:
         )
         assert interpretations
         assert all(i.level.path[0].local_name() == "ref_period" for i in interpretations)
+
+
+class _Recorder:
+    """An endpoint stand-in that answers every ASK yes and keeps it."""
+
+    def __init__(self, text_index=None):
+        self.text_index = text_index
+        self.asks = []
+
+    def ask(self, query, timeout=None):
+        self.asks.append(query)
+        return True
+
+
+@pytest.mark.parametrize("generate", [generate_eurostat, generate_production,
+                                      generate_dbpedia])
+def test_membership_probes_are_the_asts_of_their_old_text(generate):
+    """REOLAP's probes are built as ASTs; each equals what parsing the
+    text they used to be formatted as gives, for every level."""
+    from repro.core.matching import (
+        Interpretation, _incoming_terminal_predicates, _reaches_observation)
+    from repro.core.reolap import _all_tuples_cooccur
+    from repro.core.suggest import suggest
+
+    kg = generate(n_observations=20, scale=0.05, seed=0)
+    endpoint = kg.endpoint()
+    vgraph = VirtualSchemaGraph.bootstrap(endpoint, OBSERVATION_CLASS)
+    observation = vgraph.observation_class.n3()
+    member = IRI(MINI + "member/m")
+
+    def chain(level):
+        return " / ".join(p.n3() for p in level.path)
+
+    recorder = _Recorder()
+    terminals = _incoming_terminal_predicates(recorder, vgraph, member)
+    assert terminals and recorder.asks == [
+        parse_query(f"ASK {{ ?x {p.n3()} {member.n3()} }}") for p in terminals]
+    levels = vgraph.all_levels()
+    for level in levels:
+        recorder.asks.clear()
+        _reaches_observation(recorder, vgraph, level, member)
+        assert recorder.asks == [parse_query(
+            f"ASK {{ ?o a {observation} . ?o {chain(level)} {member.n3()} }}")]
+    rows = [tuple(Interpretation("k", Literal("k"), member, RDFS.label, level)
+                  for level in pair)
+            for pair in zip(levels, levels[1:] + levels[:1])]
+    recorder.asks.clear()
+    _all_tuples_cooccur(recorder, vgraph, rows)
+    assert recorder.asks == [parse_query("ASK { " + " ".join(
+        [f"?o a {observation} ."]
+        + [f"?o {chain(i.level)} {i.member.n3()} ." for i in row]) + " }")
+        for row in rows]
+
+    recorder = _Recorder(endpoint.text_index)
+    label = next(iter(kg.members.values()))[0].label
+    suggest(recorder, vgraph, label[:3])
+    assert recorder.asks
+    for ask in recorder.asks:
+        (pattern,) = ask.where.elements
+        assert ask == parse_query(
+            f"ASK {{ ?x {pattern.p.n3()} {pattern.o.n3()} }}")

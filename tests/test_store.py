@@ -185,3 +185,54 @@ class TestDataset:
         assert len(view) == 1
         assert view.count(None, iri("p"), None) == 1
         assert set(view.predicates()) == {iri("p")}
+
+
+class TestBulkWritesSettle:
+    """Every bulk builder leaves sorted runs, not a delta buffer
+    (``TripleIndex.settle``), while a small write on a large run stays
+    buffered."""
+
+    TRIPLES = [t(f"s{i}", "p", literal_from_python(i)) for i in range(40)]
+
+    @staticmethod
+    def settled(graph):
+        return graph.triple_index.pure_run(0) is not None
+
+    def test_graph_loaders_settle(self):
+        text = Graph(triples=self.TRIPLES).to_ntriples()
+        assert self.settled(Graph(triples=self.TRIPLES))
+        assert self.settled(Graph.from_ntriples(text))
+        assert self.settled(Graph.from_turtle(text))
+
+    def test_cube_and_table_builders_settle(self):
+        from repro.datasets import generate_eurostat
+        from repro.qb import load_table
+
+        assert self.settled(generate_eurostat(n_observations=30, scale=0.1).graph)
+        table = [{"country": "Germany", "year": "2014", "value": "10"},
+                 {"country": "France", "year": "2015", "value": "7"}]
+        assert self.settled(load_table(table, {"country": None, "year": None},
+                                       ["value"]))
+
+    def test_durable_add_all_and_recovery_settle(self, tmp_path):
+        directory = str(tmp_path / "store")
+        graph = Graph.open_durable(directory, fsync=False)
+        graph.add_all(self.TRIPLES)
+        assert self.settled(graph)
+        graph.close()
+        reopened = Graph.open_durable(directory, fsync=False)
+        assert reopened.recovery.replayed_records == len(self.TRIPLES)
+        assert self.settled(reopened)
+        reopened.close()
+
+    def test_small_writes_on_a_large_run_stay_buffered(self):
+        graph = Graph(triples=self.TRIPLES)
+        graph.add(t("x", "p", "y"))
+        assert not self.settled(graph)
+        # 3 pending < 40 // 4: the bulk write does not merge yet...
+        graph.add_all([t("x", "p", "z"), t("x", "p", "w")])
+        assert graph.triple_index.pending_mutations == 3
+        # ...until the pending set reaches a quarter of the run.
+        graph.add_all([t("y", "p", f"o{i}") for i in range(7)])
+        assert self.settled(graph)
+        assert len(graph) == 50

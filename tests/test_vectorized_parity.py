@@ -24,12 +24,16 @@ paths breadth-first from a different frontier, for one), so the
 cross-engine comparison is a multiset.
 """
 
+import io
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import ExplorationSession, VirtualSchemaGraph
+from repro.qb import OBSERVATION_CLASS
 from repro.rdf import IRI, Triple, literal_from_python
 from repro.sparql import Evaluator, parse_query, vectorized
-from repro.store import Graph
+from repro.store import Endpoint, Graph
 
 EX = "http://example.org/"
 
@@ -102,6 +106,18 @@ QUERIES = [
     f"{{ ?a <{EX}p0> ?x }} GROUP BY ?a }} ?a <{EX}value> ?v }}",
     # one-column non-numeric FILTER (register-program distinct table)
     f'SELECT ?a WHERE {{ ?a <{EX}p0> ?b . FILTER regex(STR(?b), "n[024]") }}',
+    # variable predicates: bound subject, bound object, both, constants
+    f"SELECT ?a ?p ?b WHERE {{ ?a <{EX}p0> ?x . ?a ?p ?b }}",
+    f"SELECT ?a ?p ?b WHERE {{ ?x <{EX}p0> ?b . ?a ?p ?b }}",
+    f"SELECT ?a ?p ?b WHERE {{ ?a <{EX}p0> ?b . ?a ?p ?b }}",
+    f"SELECT ?p ?o WHERE {{ <{EX}n1> ?p ?o }}",
+    f"SELECT ?s ?p WHERE {{ ?s ?p <{EX}n2> }}",
+    f"SELECT ?a ?p WHERE {{ ?a <{EX}p1> ?x . ?a ?p ?a }}",
+    # paths from bound, constant and repeated ends
+    f"SELECT ?a ?b WHERE {{ ?a <{EX}p0> ?x . ?x <{EX}p0>/<{EX}p1> ?b }}",
+    f"SELECT ?b WHERE {{ <{EX}n1> <{EX}p0>+ ?b }}",
+    f"SELECT ?a WHERE {{ ?a <{EX}p1>* ?a }}",
+    f"SELECT ?a ?b WHERE {{ ?a <{EX}p1> ?b . ?a ^<{EX}p0>* ?b }}",
 ]
 
 AGG_QUERIES = [
@@ -117,20 +133,33 @@ AGG_QUERIES = [
 
 
 def build_graph(encoded, overlay, state):
-    graph = Graph()
-    for s, p, o in encoded:
-        graph.add(Triple(IRI(f"{EX}n{s}"), IRI(f"{EX}p{p}"), IRI(f"{EX}n{o}")))
-    for s in {s for s, _p, _o in encoded}:
-        graph.add(
-            Triple(IRI(f"{EX}n{s}"), IRI(f"{EX}value"), literal_from_python(s * 10))
-        )
-    if state in ("flushed", "overlay"):
-        graph.triple_index.flush()
+    """A graph in one of the three store states.
+
+    ``Graph(triples=)`` settles its load into runs, so the overlay is
+    built afterwards with ``add()``/``remove()`` (the removal of a
+    run-resident triple guarantees a tombstone even when every overlay
+    triple is a duplicate), and the buffered store with ``add()`` alone.
+    """
+    def triple(s, p, o):
+        return Triple(IRI(f"{EX}n{s}"), IRI(f"{EX}p{p}"), IRI(f"{EX}n{o}"))
+
+    triples = [triple(*t) for t in encoded] + [
+        Triple(IRI(f"{EX}n{s}"), IRI(f"{EX}value"), literal_from_python(s * 10))
+        for s in {s for s, _p, _o in encoded}
+    ]
+    if state == "buffered":
+        graph = Graph()
+        for t in triples:
+            graph.add(t)
+    else:
+        graph = Graph(triples=triples)
+        assert graph.triple_index.pure_run(0) is not None
     if state == "overlay":
-        for s, p, o in overlay:
-            graph.add(
-                Triple(IRI(f"{EX}n{s}"), IRI(f"{EX}p{p}"), IRI(f"{EX}n{o}"))
-            )
+        for t in overlay:
+            graph.add(triple(*t))
+        graph.remove(triples[0])
+    if state != "flushed":
+        assert graph.triple_index.pure_run(0) is None
     return graph
 
 
@@ -302,3 +331,36 @@ class TestExpansionCap:
         monkeypatch.setattr(vectorized, "_MAX_EXPANSION", 2)
         self.assert_parity(
             f"SELECT ?a ?b ?c WHERE {{ ?a <{EX}p0> ?b . ?b <{EX}p1> ?c }}")
+
+
+class TestBulkLoadStaysBatched:
+    """A graph loaded in bulk is queried from sorted runs: with its load
+    left in the delta buffer, every batched join step would silently run
+    row by row through the tuple fallback."""
+
+    def test_ntriples_cube_disaggregates_without_fallback_rows(self, mini_kg):
+        text = mini_kg.graph.to_ntriples()
+        graph = Graph.from_ntriples(io.StringIO(text))
+        assert graph.triple_index.pure_run(0) is not None
+        endpoint = Endpoint(graph)
+        vgraph = VirtualSchemaGraph.bootstrap(endpoint, OBSERVATION_CLASS)
+        # The bootstrap's variable-predicate probes and property paths
+        # have no batched operator; the exploration steps all do.
+        before = endpoint.stats.snapshot()
+        session = ExplorationSession(endpoint, vgraph)
+        session.synthesize("Germany", "2014")
+        session.choose(0)
+        refined = session.apply(session.refinements("disaggregate")[0])
+        after = endpoint.stats.snapshot()
+        assert len(refined) > 0
+        assert after.batched_executions > before.batched_executions
+        assert after.fallback_batch_rows == before.fallback_batch_rows
+
+    def test_fallback_rows_are_counted(self):
+        # A delta overlay sends the join steps through the tuple fallback;
+        # the counter must show it.
+        graph = build_graph([(0, 0, 1), (1, 0, 2)], [(2, 0, 3)], "overlay")
+        endpoint = Endpoint(graph)
+        endpoint.select(f"SELECT ?a ?b WHERE {{ ?a <{EX}p0> ?b . "
+                        f"?a <{EX}value> ?v }}")
+        assert endpoint.stats.fallback_batch_rows > 0
