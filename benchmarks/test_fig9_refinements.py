@@ -7,7 +7,10 @@ results), and Similarity Search.  Shapes to hold:
 * Disaggregate generation is O(|L|): far below query-execution cost;
 * Top-K and Percentile scale with the number of result tuples and stay
   well under a second;
-* Similarity is the most expensive method, growing with the total tuples;
+* Similarity grows with the total tuples.  The paper's Similarity was the
+  most expensive method because it ran as SPARQL on Virtuoso; here it ranks
+  the fetched results in process, and is the costliest method only on
+  DBpedia's blown-up Dis.2 results;
 * Top-K proposes (up to) a fixed 2 x measures x aggregates refinements,
   Similarity a fixed measures x aggregates, Percentile a variable count.
 """

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from ...rdf.terms import Literal
 from ...sparql.results import ResultSet
 from ..olap_query import OLAPQuery
 
-__all__ = ["Refinement", "RefinementMethod", "anchor_rows"]
+__all__ = ["Refinement", "RefinementMethod", "anchor_rows", "measure_columns"]
 
 
 @dataclass(frozen=True)
@@ -43,3 +46,27 @@ class RefinementMethod:
 def anchor_rows(query: OLAPQuery, results: ResultSet) -> list[int]:
     """Indexes of result rows matching the query's example anchors."""
     return query.anchor_row_indexes(results)
+
+
+def measure_columns(
+    query: OLAPQuery, results: ResultSet, default: float
+) -> tuple[list[tuple], np.ndarray]:
+    """Every (measure, aggregate) column of ``results``, each read once.
+
+    Returns the ``(measure, aggregate function, column index)`` of each
+    column and a float64 matrix with one row per column: numeric literals
+    read as their value, every other cell as ``default``.
+    """
+    columns = [
+        (measure, func, results.index_of(alias))
+        for measure in query.measures for func, alias in measure.aliases()
+    ]
+    values = np.array([
+        [
+            term.numeric_value()
+            if isinstance(term := row[index], Literal) and term.is_numeric else default
+            for row in results.rows
+        ]
+        for _, _, index in columns
+    ], dtype=np.float64)
+    return columns, values

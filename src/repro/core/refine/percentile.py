@@ -21,7 +21,7 @@ from ...sparql.builder import agg
 from ...sparql.results import ResultSet
 from ..describe import describe_percentile
 from ..olap_query import OLAPQuery
-from .base import Refinement, RefinementMethod, anchor_rows
+from .base import Refinement, RefinementMethod, anchor_rows, measure_columns
 
 __all__ = ["Percentile"]
 
@@ -39,63 +39,45 @@ class Percentile(RefinementMethod):
         self.cuts = tuple(sorted(set(cuts)))
 
     def propose(self, query: OLAPQuery, results: ResultSet) -> list[Refinement]:
-        matching = set(anchor_rows(query, results))
+        matching = anchor_rows(query, results)
         if not matching or len(results) < 2:
             return []
+        columns, values = measure_columns(query, results, float("nan"))
+        cut_values = np.percentile(values, self.cuts, axis=1).T  # a row per column
+        # in_band[j, i, b]: row i of column j is neither below band b's low cut
+        # nor at or above its high one.  Comparisons with NaN are false, so a
+        # NaN cut excludes no row and a NaN value falls in every band.
+        in_band = np.ones(values.shape + (len(self.cuts) + 1,), dtype=bool)
+        in_band[..., 1:] &= ~(values[..., None] < cut_values[:, None])
+        in_band[..., :-1] &= ~(values[..., None] >= cut_values[:, None])
+        sizes = in_band.sum(axis=1).tolist()
+        anchored = in_band[:, matching].any(axis=1).tolist()
+        pcts = [None, *self.cuts, None]
         proposals: list[Refinement] = []
-        for measure in query.measures:
-            for func, alias in measure.aliases():
-                column_index = results.index_of(alias)
-                values = np.array(
-                    [_numeric(row[column_index]) for row in results.rows], dtype=float
+        for j, (measure, func, _) in enumerate(columns):
+            bounds = [None, *cut_values[j], None]  # None bounds are open
+            bands = zip(bounds, bounds[1:], pcts, pcts[1:])
+            for b, (low, high, low_pct, high_pct) in enumerate(bands):
+                if not 0 < sizes[j][b] < len(results) or not anchored[j][b]:
+                    continue
+                aggregate_label = f"{func}({measure.label})"
+                constraint = _band_constraint(measure, func, low, high)
+                refined = query.with_having(
+                    (constraint,),
+                    describe_percentile(query, low_pct, high_pct, aggregate_label),
                 )
-                cut_values = np.percentile(values, self.cuts)
-                bands = self._bands(cut_values)
-                for (low, high, low_pct, high_pct) in bands:
-                    in_band = [
-                        i for i, v in enumerate(values)
-                        if _in_band(v, low, high)
-                    ]
-                    if not in_band or len(in_band) >= len(results):
-                        continue
-                    if not matching.intersection(in_band):
-                        continue
-                    aggregate_label = f"{func}({measure.label})"
-                    constraint = _band_constraint(measure, func, low, high)
-                    refined = query.with_having(
-                        (constraint,),
-                        describe_percentile(query, low_pct, high_pct, aggregate_label),
+                band_text = _band_text(low_pct, high_pct)
+                proposals.append(
+                    Refinement(
+                        query=refined,
+                        kind=self.name,
+                        explanation=(
+                            f"keep results with {aggregate_label} {band_text} "
+                            f"({sizes[j][b]} of {len(results)} tuples)"
+                        ),
                     )
-                    band_text = _band_text(low_pct, high_pct)
-                    proposals.append(
-                        Refinement(
-                            query=refined,
-                            kind=self.name,
-                            explanation=(
-                                f"keep results with {aggregate_label} {band_text} "
-                                f"({len(in_band)} of {len(results)} tuples)"
-                            ),
-                        )
-                    )
+                )
         return proposals
-
-    def _bands(self, cut_values) -> list[tuple]:
-        """(low, high, low_pct, high_pct) bands; None bounds are open."""
-        bands = []
-        previous_value, previous_pct = None, None
-        for value, pct in zip(cut_values, self.cuts):
-            bands.append((previous_value, value, previous_pct, pct))
-            previous_value, previous_pct = value, pct
-        bands.append((previous_value, None, previous_pct, None))
-        return bands
-
-
-def _in_band(value: float, low: float | None, high: float | None) -> bool:
-    if low is not None and value < low:
-        return False
-    if high is not None and value >= high:
-        return False
-    return True
 
 
 def _band_constraint(measure, func: str, low: float | None, high: float | None) -> Expression:
@@ -120,9 +102,3 @@ def _band_text(low_pct: int | None, high_pct: int | None) -> str:
 
 def _literal(value: float) -> Literal:
     return Literal(repr(float(value)), datatype=XSD_DOUBLE)
-
-
-def _numeric(term) -> float:
-    if isinstance(term, Literal) and term.is_numeric:
-        return term.numeric_value()
-    return float("nan")

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...rdf.terms import Literal, Node
+from ...rdf.terms import Node
 from ...sparql.results import ResultSet
 from ..describe import describe_similarity
 from ..olap_query import OLAPQuery
-from .base import Refinement, RefinementMethod
+from .base import Refinement, RefinementMethod, measure_columns
 
 __all__ = ["SimilaritySearch"]
 
@@ -56,40 +56,44 @@ class SimilaritySearch(RefinementMethod):
         anchor_combo = self._anchor_combo(query, anchored_vars)
         if anchor_combo is None:
             return []
-        anchored_idx = [results.index_of(v) for v in anchored_vars]
-        added_idx = [results.index_of(v) for v in added_vars]
+        combo, combos = _dense_ids(results.rows, [results.index_of(v) for v in anchored_vars])
+        anchor = combos.get(anchor_combo)
+        if anchor is None:
+            return []
+        feature, features = _dense_ids(results.rows, [results.index_of(v) for v in added_vars])
+        # A repeated (combo, feature) cell keeps its last row.
+        _, from_end = np.unique((combo * len(features) + feature)[::-1], return_index=True)
+        kept = len(combo) - 1 - from_end
+        combo, feature, combos = combo[kept], feature[kept], list(combos)
 
+        columns, values = measure_columns(query, results, 0.0)
         proposals: list[Refinement] = []
-        for measure in query.measures:
-            for func, alias in measure.aliases():
-                value_idx = results.index_of(alias)
-                ranked = self._rank(
-                    results, anchored_idx, added_idx, value_idx, anchor_combo
-                )
-                if not ranked:
-                    continue
-                top = ranked[: self.k]
-                rows = (anchor_combo,) + tuple(combo for combo, _ in top)
-                aggregate_label = f"{func}({measure.label})"
-                refined = query.with_member_restriction(
-                    tuple(anchored_vars),
-                    rows,
-                    describe_similarity(
-                        query, self.k, aggregate_label,
-                        [a.keyword for a in query.anchors],
+        for (measure, func, _), column in zip(columns, values[:, kept]):
+            sims = _similarities(column, combo, feature, anchor, len(combos), len(features))
+            top = _top(sims, anchor, combos, self.k)
+            if not top:
+                continue
+            rows = (anchor_combo,) + tuple(top)
+            aggregate_label = f"{func}({measure.label})"
+            refined = query.with_member_restriction(
+                tuple(anchored_vars),
+                rows,
+                describe_similarity(
+                    query, self.k, aggregate_label,
+                    [a.keyword for a in query.anchors],
+                ),
+            )
+            names = ", ".join(_combo_text(c) for c in top)
+            proposals.append(
+                Refinement(
+                    query=refined,
+                    kind=self.name,
+                    explanation=(
+                        f"restrict to the {len(top)} combinations most similar "
+                        f"to the example on {aggregate_label}: {names}"
                     ),
                 )
-                names = ", ".join(_combo_text(combo) for combo, _ in top)
-                proposals.append(
-                    Refinement(
-                        query=refined,
-                        kind=self.name,
-                        explanation=(
-                            f"restrict to the {len(top)} combinations most similar "
-                            f"to the example on {aggregate_label}: {names}"
-                        ),
-                    )
-                )
+            )
         return proposals
 
     def _anchor_combo(self, query: OLAPQuery, anchored_vars) -> tuple[Node, ...] | None:
@@ -101,49 +105,42 @@ class SimilaritySearch(RefinementMethod):
         except KeyError:
             return None
 
-    def _rank(
-        self, results: ResultSet, anchored_idx, added_idx, value_idx, anchor_combo
-    ) -> list[tuple[tuple[Node, ...], float]]:
-        """Candidate combos sorted by decreasing similarity to the anchor."""
-        vectors: dict[tuple[Node, ...], dict[tuple[Node, ...], float]] = {}
-        features: set[tuple[Node, ...]] = set()
-        for row in results.rows:
-            combo = tuple(row[i] for i in anchored_idx)
-            feature = tuple(row[i] for i in added_idx)
-            features.add(feature)
-            vectors.setdefault(combo, {})[feature] = _numeric(row[value_idx])
-        if anchor_combo not in vectors:
-            return []
-        feature_order = sorted(features, key=_combo_key)
-        anchor_vector = _vector(vectors[anchor_combo], feature_order)
-        ranked: list[tuple[tuple[Node, ...], float]] = []
-        for combo, sparse in vectors.items():
-            if combo == anchor_combo:
-                continue
-            vector = _vector(sparse, feature_order)
-            ranked.append((combo, _similarity(anchor_vector, vector)))
-        ranked.sort(key=lambda item: (-item[1], _combo_key(item[0])))
-        return ranked
+
+def _similarities(values, combo, feature, anchor: int, n_combos: int, n_features: int):
+    """Each combo's similarity to the anchor combo, indexed by combo id.
+
+    ``values[i]`` is the measure of cell (``combo[i]``, ``feature[i]``).
+    Cosine over the feature vectors (absent features count 0, a zero
+    vector scores 0); with a single feature, closeness ``-|Δ|``.
+    """
+    if n_features == 1:
+        scalar = np.zeros(n_combos)
+        scalar[combo] = values
+        return -np.abs(scalar[anchor] - scalar)
+    anchor_vector = np.zeros(n_features)
+    at_anchor = combo == anchor
+    anchor_vector[feature[at_anchor]] = values[at_anchor]
+    dots = np.bincount(combo, weights=values * anchor_vector[feature], minlength=n_combos)
+    norms = np.sqrt(np.bincount(combo, weights=values * values, minlength=n_combos))
+    norms *= np.sqrt(np.dot(anchor_vector, anchor_vector))
+    return np.divide(dots, norms, out=np.zeros(n_combos), where=norms != 0.0)
 
 
-def _vector(sparse: dict, feature_order: list) -> np.ndarray:
-    return np.array([sparse.get(feature, 0.0) for feature in feature_order], dtype=float)
+def _top(sims: np.ndarray, anchor: int, combos: list, k: int) -> list[tuple[Node, ...]]:
+    """The ``k`` other combos with the highest ``sims``; exact ties by term keys."""
+    candidates = np.flatnonzero(np.arange(len(sims)) != anchor)
+    if len(candidates) > k:
+        kth = -np.partition(-sims[candidates], k - 1)[k - 1]
+        candidates = candidates[sims[candidates] >= kth]
+    ranked = sorted(candidates.tolist(), key=lambda c: (-sims[c], _combo_key(combos[c])))
+    return [combos[c] for c in ranked[:k]]
 
 
-def _similarity(anchor: np.ndarray, other: np.ndarray) -> float:
-    """Cosine similarity; scalar vectors fall back to value closeness."""
-    if anchor.size == 1:
-        return -abs(float(anchor[0]) - float(other[0]))
-    norm = float(np.linalg.norm(anchor) * np.linalg.norm(other))
-    if norm == 0.0:
-        return 0.0
-    return float(np.dot(anchor, other) / norm)
-
-
-def _numeric(term) -> float:
-    if isinstance(term, Literal) and term.is_numeric:
-        return term.numeric_value()
-    return 0.0
+def _dense_ids(rows, idx) -> tuple[np.ndarray, dict]:
+    """Dense first-occurrence ids of each row's ``idx`` members."""
+    ids: dict[tuple, int] = {}
+    codes = [ids.setdefault(tuple(map(row.__getitem__, idx)), len(ids)) for row in rows]
+    return np.array(codes, dtype=np.int64), ids
 
 
 def _combo_key(combo: tuple[Node, ...]) -> tuple:
@@ -151,7 +148,5 @@ def _combo_key(combo: tuple[Node, ...]) -> tuple:
 
 
 def _combo_text(combo: tuple[Node, ...]) -> str:
-    parts = []
-    for term in combo:
-        parts.append(term.local_name() if hasattr(term, "local_name") else str(term))
-    return "(" + ", ".join(parts) + ")"
+    names = (t.local_name() if hasattr(t, "local_name") else str(t) for t in combo)
+    return "(" + ", ".join(names) + ")"

@@ -12,13 +12,15 @@ function, the fixed output count reported in Figure 9b.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ...rdf.terms import Literal
 from ...sparql.ast import Comparison, TermExpr
 from ...sparql.builder import agg
 from ...sparql.results import ResultSet
 from ..describe import describe_topk
 from ..olap_query import OLAPQuery
-from .base import Refinement, RefinementMethod, anchor_rows
+from .base import Refinement, RefinementMethod, anchor_rows, measure_columns
 
 __all__ = ["TopK"]
 
@@ -29,46 +31,42 @@ class TopK(RefinementMethod):
     name = "topk"
 
     def propose(self, query: OLAPQuery, results: ResultSet) -> list[Refinement]:
-        matching = set(anchor_rows(query, results))
+        matching = anchor_rows(query, results)
         if not matching or len(results) < 2:
             return []
+        is_match = np.zeros(len(results), dtype=bool)
+        is_match[matching] = True
+        columns, values = measure_columns(query, results, float("-inf"))
+        # Descending then ascending order of every column, from one stable
+        # argsort: equal values keep row order.
+        orders = np.argsort(np.concatenate((-values, values)), axis=1, kind="stable")
+        in_order = is_match[orders]
+        edges = in_order[:, :-1] > in_order[:, 1:]  # t_i matches, t_{i+1} does not
+        cuts = (edges.argmax(axis=1) + 1).tolist()  # index into the order of t_{i+1}
+        found = edges.any(axis=1).tolist()
         proposals: list[Refinement] = []
-        for measure in query.measures:
-            for func, alias in measure.aliases():
-                column_index = results.index_of(alias)
-                for descending in (True, False):
-                    proposal = self._threshold_proposal(
-                        query, results, matching, measure, func, alias.name,
-                        column_index, descending,
-                    )
-                    if proposal is not None:
-                        proposals.append(proposal)
+        for j, (measure, func, index) in enumerate(columns):
+            for descending, row in ((True, j), (False, len(columns) + j)):
+                # Without an example row right before a non-example row (the
+                # example rows close the order) no subset smaller than T
+                # contains the example.
+                if not found[row]:
+                    continue
+                proposal = self._threshold_proposal(
+                    query, results, measure, func, index,
+                    values[j], orders[row], cuts[row], descending,
+                )
+                if proposal is not None:
+                    proposals.append(proposal)
         return proposals
 
     def _threshold_proposal(
-        self, query, results, matching, measure, func, alias_name,
-        column_index, descending,
+        self, query, results, measure, func, index, values, order, cut, descending,
     ) -> Refinement | None:
-        order = sorted(
-            range(len(results)),
-            key=lambda i: _numeric(results.rows[i][column_index]),
-            reverse=descending,
-        )
-        cut = None  # index into `order` of t_{i+1}
-        for position in range(len(order) - 1):
-            if order[position] in matching and order[position + 1] not in matching:
-                cut = position + 1
-                break
-        if cut is None:
-            # Either no example row before a non-example row (all matching
-            # rows are at the very bottom in this ordering with matching
-            # suffix) — no subset smaller than T contains the example here.
-            return None
-        threshold = results.rows[order[cut]][column_index]
+        threshold = results.rows[order[cut]][index]
         if not isinstance(threshold, Literal):
             return None
-        boundary_value = _numeric(results.rows[order[cut - 1]][column_index])
-        if _numeric(threshold) == boundary_value:
+        if values[order[cut]] == values[order[cut - 1]]:
             return None  # tie: no threshold separates t_i from t_{i+1}
         op = ">" if descending else "<"
         constraint = Comparison(op, agg(func, measure.variable), TermExpr(threshold))
@@ -87,9 +85,3 @@ class TopK(RefinementMethod):
                 f"filter {aggregate_label} {op} {threshold.lexical}"
             ),
         )
-
-
-def _numeric(term) -> float:
-    if isinstance(term, Literal) and term.is_numeric:
-        return term.numeric_value()
-    return float("-inf")

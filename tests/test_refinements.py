@@ -172,21 +172,51 @@ class TestSimilaritySearch:
 
     def test_figure5_cosine_semantics(self):
         """Reproduce Figure 5: Sweden/Syria and France/China are top-2."""
-        import numpy as np
-        from repro.core.refine.similarity import _similarity
+        from repro.core import Anchor, MeasureColumn, OLAPQuery, QueryDimension, VLevel
+        from repro.rdf.terms import XSD_DECIMAL
+        from repro.sparql.results import ResultSet
 
-        anchor = np.array([0.3, 0.6])  # Germany, Syria
-        candidates = {
-            "France,Syria": np.array([0.3, 0.3]),
-            "Sweden,Syria": np.array([0.2, 0.4]),
-            "Germany,China": np.array([0.1, 0.1]),
-            "France,China": np.array([0.1, 0.3]),
-            "Sweden,China": np.array([0.3, 0.2]),
-        }
-        ranked = sorted(
-            candidates, key=lambda name: -_similarity(anchor, candidates[name])
+        def member(name):
+            return IRI(MINI + "member/" + name)
+
+        destination, origin, year = (
+            VLevel((prop(name),), member_count=5, label=name)
+            for name in ("country_of_destination", "country_of_origin", "ref_period")
         )
-        assert set(ranked[:2]) == {"Sweden,Syria", "France,China"}
+        measure = MeasureColumn(prop("num_applicants"), "applicants")
+        query = OLAPQuery(
+            IRI(MINI + "Observation"),
+            tuple(QueryDimension(level) for level in (destination, origin, year)),
+            (measure,),
+            anchors=(
+                Anchor(destination, member("Germany"), "Germany"),
+                Anchor(origin, member("Syria"), "Syria"),
+            ),
+        )
+        vectors = {  # (destination, origin) -> value per year, as in Figure 5
+            ("Germany", "Syria"): (0.3, 0.6),
+            ("France", "Syria"): (0.3, 0.3),
+            ("Sweden", "Syria"): (0.2, 0.4),
+            ("Germany", "China"): (0.1, 0.1),
+            ("France", "China"): (0.1, 0.3),
+            ("Sweden", "China"): (0.3, 0.2),
+        }
+        rows = [
+            (member(dest), member(orig), member(y))
+            + (Literal(str(value), datatype=XSD_DECIMAL),) * len(measure.aliases())
+            for (dest, orig), values in vectors.items()
+            for y, value in zip(("2014", "2015"), values)
+        ]
+        variables = list(query.group_variables) + [a for _, a in measure.aliases()]
+        proposals = SimilaritySearch(k=2).propose(query, ResultSet(variables, rows))
+        assert len(proposals) == len(measure.aliases())
+        for refinement in proposals:
+            anchor, *top = refinement.query.member_restrictions[-1].rows
+            assert anchor == (member("Germany"), member("Syria"))
+            assert set(top) == {
+                (member("Sweden"), member("Syria")),
+                (member("France"), member("China")),
+            }
 
     def test_no_anchor_in_results_yields_nothing(self, chosen):
         query, results = chosen
