@@ -316,7 +316,8 @@ class ExplorerShell:
             f"  batched asks    {stats.batch_asks} "
             f"(shared join steps {stats.batch_shared_steps})",
             f"  aggregates      fused {stats.fused_aggregates}, "
-            f"fallback {stats.fallback_aggregates}",
+            f"fallback {stats.fallback_aggregates} "
+            f"({stats.groups_formed} groups from {stats.aggregate_rows} rows)",
             f"  selects         compiled {stats.compiled_selects}, "
             f"fallback {stats.fallback_selects}",
             f"  executions      batched {stats.batched_executions} "

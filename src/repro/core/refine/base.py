@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...rdf.terms import Literal
 from ...sparql.results import ResultSet
+from ...store.index import MALFORMED, NOT_NUMERIC, numeric_of
 from ..olap_query import OLAPQuery
 
 __all__ = ["Refinement", "RefinementMethod", "anchor_rows", "measure_columns"]
@@ -55,18 +55,19 @@ def measure_columns(
 
     Returns the ``(measure, aggregate function, column index)`` of each
     column and a float64 matrix with one row per column: numeric literals
-    read as their value, every other cell as ``default``.
+    read as their value, every other cell — a NaN or malformed number
+    too — as ``default``.  Each distinct cell term is read once.
     """
     columns = [
         (measure, func, results.index_of(alias))
         for measure in query.measures for func, alias in measure.aliases()
     ]
-    values = np.array([
-        [
-            term.numeric_value()
-            if isinstance(term := row[index], Literal) and term.is_numeric else default
-            for row in results.rows
-        ]
-        for _, _, index in columns
-    ], dtype=np.float64)
+    cells = [[row[index] for row in results.rows] for _, _, index in columns]
+    read = {term: default for column in cells for term in column}
+    for term in read:
+        value = numeric_of(term)
+        if value is not NOT_NUMERIC and value is not MALFORMED:
+            read[term] = value
+    values = np.array([[read[term] for term in column] for column in cells],
+                      dtype=np.float64)
     return columns, values

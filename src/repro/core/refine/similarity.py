@@ -11,8 +11,8 @@ the user exemplified.  Following Figure 5:
   values is one vector component, whose value is the aggregated measure
   (0 when a combination does not appear);
 * cosine similarity between the example's vector and every other entity's
-  vector ranks the candidates, and the top-k (plus the example itself)
-  become a VALUES restriction on the anchored variables.
+  vector ranks the candidates, and the top-k (plus every example
+  combination) become a VALUES restriction on the anchored variables.
 
 When no dimensions were added yet, each entity has a single scalar — there
 cosine degenerates, so entities are ranked by absolute difference of the
@@ -24,6 +24,8 @@ of reformulations, as Figure 9b reports.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -53,13 +55,12 @@ class SimilaritySearch(RefinementMethod):
         if not anchored_vars or not len(results):
             return []
         added_vars = [v for v in query.group_variables if v not in set(anchored_vars)]
-        anchor_combo = self._anchor_combo(query, anchored_vars)
-        if anchor_combo is None:
-            return []
+        examples = _example_combos(query, anchored_vars)
         combo, combos = _dense_ids(results.rows, [results.index_of(v) for v in anchored_vars])
-        anchor = combos.get(anchor_combo)
+        anchor = combos.get(examples[0])
         if anchor is None:
             return []
+        taken = [combos[c] for c in examples if c in combos]
         feature, features = _dense_ids(results.rows, [results.index_of(v) for v in added_vars])
         # A repeated (combo, feature) cell keeps its last row.
         _, from_end = np.unique((combo * len(features) + feature)[::-1], return_index=True)
@@ -70,10 +71,10 @@ class SimilaritySearch(RefinementMethod):
         proposals: list[Refinement] = []
         for (measure, func, _), column in zip(columns, values[:, kept]):
             sims = _similarities(column, combo, feature, anchor, len(combos), len(features))
-            top = _top(sims, anchor, combos, self.k)
+            top = _top(sims, taken, combos, self.k)
             if not top:
                 continue
-            rows = (anchor_combo,) + tuple(top)
+            rows = tuple(examples) + tuple(top)
             aggregate_label = f"{func}({measure.label})"
             refined = query.with_member_restriction(
                 tuple(anchored_vars),
@@ -96,14 +97,28 @@ class SimilaritySearch(RefinementMethod):
             )
         return proposals
 
-    def _anchor_combo(self, query: OLAPQuery, anchored_vars) -> tuple[Node, ...] | None:
-        by_var = {}
-        for anchor in query.anchors:
-            by_var.setdefault(anchor.variable, anchor.member)
-        try:
-            return tuple(by_var[v] for v in anchored_vars)
-        except KeyError:
-            return None
+
+def _example_combos(query: OLAPQuery, anchored_vars) -> list[tuple[Node, ...]]:
+    """The member combinations over ``anchored_vars`` that hold the example.
+
+    Each anchor group (one example tuple) gives the product of the members
+    it anchors per variable — two keywords in one column are two rows of
+    that grouping — with None (UNDEF) where it anchors none.  The first
+    combination is the one the others are ranked against.
+    """
+    groups: dict[int, dict] = {}
+    for anchor in query.anchors:
+        members = groups.setdefault(anchor.group, {}).setdefault(anchor.variable, [])
+        if anchor.member not in members:
+            members.append(anchor.member)
+    combos: list[tuple[Node, ...]] = []
+    for by_var in groups.values():
+        if not any(v in by_var for v in anchored_vars):
+            continue
+        for combo in itertools.product(*(by_var.get(v, [None]) for v in anchored_vars)):
+            if combo not in combos:
+                combos.append(combo)
+    return combos
 
 
 def _similarities(values, combo, feature, anchor: int, n_combos: int, n_features: int):
@@ -126,9 +141,11 @@ def _similarities(values, combo, feature, anchor: int, n_combos: int, n_features
     return np.divide(dots, norms, out=np.zeros(n_combos), where=norms != 0.0)
 
 
-def _top(sims: np.ndarray, anchor: int, combos: list, k: int) -> list[tuple[Node, ...]]:
-    """The ``k`` other combos with the highest ``sims``; exact ties by term keys."""
-    candidates = np.flatnonzero(np.arange(len(sims)) != anchor)
+def _top(sims: np.ndarray, taken: list[int], combos: list, k: int) -> list[tuple[Node, ...]]:
+    """The ``k`` combos not ``taken`` with the highest ``sims``; exact ties by term keys."""
+    free = np.ones(len(sims), dtype=bool)
+    free[taken] = False
+    candidates = np.flatnonzero(free)
     if len(candidates) > k:
         kth = -np.partition(-sims[candidates], k - 1)[k - 1]
         candidates = candidates[sims[candidates] >= kth]

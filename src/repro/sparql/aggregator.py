@@ -1,59 +1,36 @@
-"""Fused id-space GROUP BY / aggregation over the unified operator pipeline.
+"""Fused id-space GROUP BY / aggregation over the operator pipeline.
 
-Every query the paper's workloads actually run — REOLAP candidates,
-refinement probes, the figure benchmarks — is an aggregate ``SELECT …
-GROUP BY`` over observations.  The physical-operator layer
-(:mod:`repro.sparql.operators`) streams id-space register rows for *any*
-supported WHERE body — plain BGPs, OPTIONAL drill-downs, UNION'd
-interpretation candidates, VALUES-bound member lists, property-path
-closures — and this module folds those rows into groups without ever
-materializing a solution list:
+Every query the paper's workloads run — REOLAP candidates, refinement
+probes, the figure benchmarks — is an aggregate ``SELECT … GROUP BY``
+over observations.  :func:`compile_aggregate_ex` lowers a qualifying
+query into an :class:`AggregatePlan`: the compiled WHERE body, grouping
+on its integer register ids (the dictionary is bijective, so id grouping
+is term grouping; an unbound key groups as ``None``), HAVING, projections.
 
-* **hash-group on register tuples** — the group key is a tuple of integer
-  ids read straight out of the pipeline's register file (``None`` for
-  unbound keys); the dictionary is bijective, so id-tuple grouping equals
-  term-tuple grouping with none of the decoding;
-* **streaming accumulators** — COUNT/SUM/AVG/MIN/MAX/SAMPLE/GROUP_CONCAT
-  fold each row into small per-group state as the pipeline produces it
-  (DISTINCT variants keep a per-group id-set), so no solution list is
-  ever materialized;
-* **grouped batch fold** — batched execution folds each batch in one
-  pass: dense group ids per row, then one ``fold`` per aggregate over
-  all the batch's groups (``bincount`` counts, in-order ``np.add.at``
-  sums, rank-and-position MIN/MAX), bit-identical to the row-by-row
-  fold;
-* **memoized decode** — SUM/AVG read each literal id's number from the
-  term dictionary's memo, filled once per id for the dictionary's
-  lifetime (MIN/MAX memoize sort keys, GROUP_CONCAT lexical forms, per
-  execution); group keys are decoded once per group, at the projection
-  boundary.
+* **Tuple-at-a-time**, rows stream into a dict of per-group accumulators,
+  one ``add`` per aggregate per row: the differential oracle.
+* **Group table**, batched: all batches are concatenated, every row gets
+  a dense group id in first-occurrence order (the tuple engine's group
+  order), and each aggregate folds into one array — ``bincount`` counts,
+  unique (group, id) pairs for DISTINCT, in-order ``np.add.at`` sums
+  (bit-identical to the row-by-row fold), (rank, row position)
+  ``lexsort`` MIN/MAX, first-position SAMPLE.  GROUP_CONCAT and a
+  malformed number (a NaN literal) depend on the row order: they replay
+  the columns through the same ``add``.
 
-:func:`compile_aggregate_ex` lowers a qualifying query into an
-:class:`AggregatePlan` — operator pipeline → fused aggregation → HAVING —
-and returns ``(None, reason)`` for everything else, which keeps the
-term-space ``_aggregate`` path as the semantics-preserving fallback.  A
-query qualifies when:
+Both finish column by column: distinct keys and MIN/MAX ids decode once,
+each distinct count or number becomes one ``Literal`` per execution, and
+HAVING and computed projections run per group over the finished columns.
 
-* its WHERE clause compiles under :func:`repro.sparql.operators
-  .compile_where` — which now takes BIND, FILTER [NOT] EXISTS, MINUS
-  and subqueries, so bodies holding them fuse too; the remaining
-  declines (with their reason strings) are exotic path shapes and
-  graphs without an id backend;
-* GROUP BY keys are plain variables (unbound keys are fine: they group
-  under a ``None`` component, exactly like the term-space path);
-* every aggregate in the projections and HAVING clauses takes either no
-  argument (``COUNT(*)``) or a bare variable — the shapes REOLAP and the
-  refinement operators generate.
-
-Error semantics mirror the term-space evaluator exactly: rows whose
-aggregate argument is unbound are skipped (which also covers OPTIONAL- and
-UNION-introduced unbound registers), a non-numeric value makes SUM/AVG
-error (projection → ``None``, HAVING → group dropped), GROUP_CONCAT errors
-on blank nodes, and empty groups error for MIN/MAX/SAMPLE.
-
-Plans depend on the graph's id assignment, so the serving cache's
-``plans`` tier stores them under the same ``(query, graph uid, epoch)``
-identity discipline as compiled WHERE plans.
+A query qualifies when its WHERE clause compiles under
+:func:`repro.sparql.operators.compile_where`, its GROUP BY keys are
+variables, and every aggregate takes ``*`` or a bare variable; anything
+else returns ``(None, reason)`` for the term-space ``_aggregate`` path.
+Errors mirror that path: unbound arguments are skipped, a non-numeric
+value errors SUM/AVG (projected ``None``, HAVING drops the group), as do
+a blank node in GROUP_CONCAT and an empty MIN/MAX/SAMPLE; a malformed
+number raises.  Plans hold the graph's id assignment, so the serving
+cache's ``plans`` tier keys them by ``(query, graph uid, epoch)``.
 """
 
 from __future__ import annotations
@@ -84,12 +61,8 @@ __all__ = ["AggregatePlan", "compile_aggregate", "compile_aggregate_ex"]
 
 
 class _AggError:
-    """Sentinel carried by an accumulator whose aggregate errored.
-
-    Stored instead of a term so one errored aggregate does not abort the
-    whole group: projections render it as ``None``, HAVING drops the
-    group — SPARQL's expression-error semantics.
-    """
+    """The value of an errored aggregate, so one error does not abort the
+    group: projections render it as ``None``, HAVING drops the group."""
 
     __slots__ = ()
 
@@ -100,29 +73,19 @@ class _AggError:
 _ERROR = _AggError()
 
 
-# --------------------------------------------------------------------------
-# Streaming accumulators
-#
-# Each accumulator consumes the integer id bound to its argument variable
-# (None when unbound — the row is skipped, matching the term-space engine's
-# skip-on-argument-error rule) and produces an RDF term, or the _ERROR
-# sentinel, at group finalization.  ``add`` folds one row (the tuple
-# path); the classmethod ``fold`` folds a whole batch into the
-# accumulators of its groups at once (the batched path), bit-identical to
-# calling ``add`` on every row in order.  Numbers come from the term
-# dictionary's memo, other decodes from the execution-wide memos owned by
-# _ExecState.
-# --------------------------------------------------------------------------
+def _count_literal(n: int) -> Literal:
+    return Literal(str(n), datatype=XSD_INTEGER)
 
 
 class _ExecState:
-    """Per-execution decode memos shared by every group's accumulators.
+    """Per-execution decode memos shared by every aggregate.
 
     Numeric values are not memoized here: ``numeric`` reads the term
     dictionary's own memo, which outlives the execution.
     """
 
-    __slots__ = ("decode", "_numeric", "terms", "strings", "sort_keys")
+    __slots__ = ("decode", "_numeric", "terms", "strings", "sort_keys",
+                 "_counts", "_numbers")
 
     def __init__(self, decode, numeric):
         self.decode = decode  # the execution context's codec
@@ -130,6 +93,8 @@ class _ExecState:
         self.terms: dict[int, Node] = {}
         self.strings: dict[int, object] = {}
         self.sort_keys: dict[int, tuple] = {}
+        self._counts: dict[int, Literal] = {}
+        self._numbers: dict[float, Literal] = {}
 
     def term(self, term_id: int) -> Node:
         term = self.terms.get(term_id)
@@ -174,80 +139,21 @@ class _ExecState:
             self.sort_keys[term_id] = key
         return key
 
+    def literals(self, values: list, count: bool = False) -> list:
+        """The literal of each COUNT integer (``count``) or SUM/AVG
+        float, each distinct value's built once per execution."""
+        memo, make = ((self._counts, _count_literal) if count
+                      else (self._numbers, _number_literal))
+        for value in set(values).difference(memo):
+            memo[value] = make(value)
+        return [memo[value] for value in values]
 
-class _Column:
-    """One aggregate argument column of a batch, restricted to its bound
-    rows, with the per-column work — distinct ids, their numbers, their
-    sort-key ranks — done once for every aggregate that reads it."""
 
-    __slots__ = ("gids", "ids", "_distinct", "_numerics", "_ranks")
-
-    def __init__(self, gids, col):
-        bound = col != UNBOUND
-        if bool(bound.all()):
-            self.gids, self.ids = gids, col
-        else:
-            self.gids, self.ids = gids[bound], col[bound]
-        self._distinct = self._numerics = self._ranks = None
-
-    def distinct(self):
-        """``(distinct ids as a list, inverse index per row)``."""
-        if self._distinct is None:
-            uniq, inverse = _np.unique(self.ids, return_inverse=True)
-            self._distinct = (uniq.tolist(), inverse)
-        return self._distinct
-
-    def _numeric(self, state) -> list:
-        if self._numerics is None:
-            self._numerics = [state.numeric(t) for t in self.distinct()[0]]
-        return self._numerics
-
-    def numbers(self, state):
-        """Float64 value per distinct id, or None when some id is not a
-        well-formed number (its errors then need the row order)."""
-        values = self._numeric(state)
-        if any(v is NOT_NUMERIC or v is MALFORMED for v in values):
-            return None
-        return _np.array(values, dtype=_np.float64)
-
-    def ranks(self, state):
-        """``(dense sort-key rank per row, sort key per distinct id or
-        None)``, or None when a NaN literal makes the order partial.
-
-        When every id is a well-formed number with a distinct value, the
-        sort-key order is the numeric order: no term is decoded and the
-        keys stay None (an accumulator computes the few it compares).
-        """
-        if self._ranks is None:
-            uniq, inverse = self.distinct()
-            numbers = self._numeric(state)
-            if any(v is MALFORMED for v in numbers):
-                self._ranks = False
-                return None
-            rank = keys = None
-            if not any(v is NOT_NUMERIC for v in numbers):
-                values = _np.array(numbers, dtype=_np.float64)
-                order = _np.argsort(values, kind="stable")
-                ordered = values[order]
-                if not bool((ordered[1:] == ordered[:-1]).any()):
-                    rank = _np.empty(len(order), dtype=_np.int64)
-                    rank[order] = _np.arange(len(order))
-            if rank is None:  # equal numbers or other terms: full sort keys
-                keys = [state.sort_key(t) for t in uniq]
-                rank = _np.empty(len(keys), dtype=_np.int64)
-                previous, current = None, -1
-                for j in sorted(range(len(keys)), key=keys.__getitem__):
-                    if current < 0 or keys[j] != previous:
-                        current += 1
-                        previous = keys[j]
-                    rank[j] = current
-            self._ranks = (rank[inverse], keys)
-        return self._ranks if self._ranks is not False else None
-
-    def replay(self, accs) -> None:
-        """Fold the rows one at a time, in row order: the exact path."""
-        for gid, term_id in zip(self.gids.tolist(), self.ids.tolist()):
-            accs[gid].add(term_id)
+# --------------------------------------------------------------------------
+# Streaming accumulators (the tuple engine, and the group table's replay):
+# ``add`` takes the id bound to the argument (None when unbound: skipped),
+# ``finish`` gives an RDF term or the _ERROR sentinel.
+# --------------------------------------------------------------------------
 
 
 class _CountAll:
@@ -262,14 +168,8 @@ class _CountAll:
     def add(self, value_id) -> None:
         self.n += 1
 
-    @classmethod
-    def fold(cls, accs, gids, column, state) -> None:
-        counts = _np.bincount(gids, minlength=len(accs))
-        for acc, n in zip(accs, counts.tolist()):
-            acc.n += n
-
     def finish(self, state):
-        return Literal(str(self.n), datatype=XSD_INTEGER)
+        return _count_literal(self.n)
 
 
 class _Count:
@@ -287,20 +187,8 @@ class _Count:
         else:
             self.n += 1
 
-    @classmethod
-    def fold(cls, accs, gids, column, state) -> None:
-        if column is None:
-            return
-        if accs[0].seen is not None:
-            column.replay(accs)
-            return
-        counts = _np.bincount(column.gids, minlength=len(accs))
-        for acc, n in zip(accs, counts.tolist()):
-            acc.n += n
-
     def finish(self, state):
-        n = len(self.seen) if self.seen is not None else self.n
-        return Literal(str(n), datatype=XSD_INTEGER)
+        return _count_literal(len(self.seen) if self.seen is not None else self.n)
 
 
 class _Sum:
@@ -331,28 +219,6 @@ class _Sum:
         self.total += value
         self.n += 1
 
-    @classmethod
-    def fold(cls, accs, gids, column, state) -> None:
-        """Per-group sums of a whole batch, added in row order:
-        ``np.add.at`` is an unbuffered, in-order fold, so each group
-        performs exactly the float additions ``add`` would, at any
-        magnitude.  A non-numeric or malformed id replays the rows
-        through ``add``, whose error semantics depend on the order, and
-        so does DISTINCT (its first-occurrence dict)."""
-        if column is None:
-            return
-        values = None if accs[0].seen is not None else column.numbers(state)
-        if values is None:
-            column.replay(accs)
-            return
-        totals = _np.array([acc.total for acc in accs], dtype=_np.float64)
-        _np.add.at(totals, column.gids, values[column.distinct()[1]])
-        counts = _np.bincount(column.gids, minlength=len(accs))
-        for acc, total, n in zip(accs, totals.tolist(), counts.tolist()):
-            if n and not acc.errored:
-                acc.total = total
-                acc.n += n
-
     def finish(self, state):
         if self.seen is not None:
             for value_id in self.seen:
@@ -365,7 +231,7 @@ class _Sum:
             return _ERROR
         if self.average:
             if not self.n:
-                return Literal("0", datatype=XSD_INTEGER)
+                return _count_literal(0)
             return _number_literal(self.total / self.n)
         return _number_literal(self.total)
 
@@ -396,50 +262,15 @@ class _MinMax:
             if value_id in self.seen:
                 return
             self.seen.add(value_id)
-        self._offer(value_id, None)
-
-    def _offer(self, value_id, key) -> None:
-        """Keep ``value_id`` under the tie rules.  ``key`` is its sort key
-        or None; keys are computed only when a comparison needs them."""
         if self.best is None:
-            self.best, self.best_key = value_id, key
+            self.best = value_id
             return
         sort_key = self.state.sort_key
-        if key is None:
-            key = sort_key(value_id)
+        key = sort_key(value_id)
         if self.best_key is None:
             self.best_key = sort_key(self.best)
         if (key >= self.best_key) if self.is_max else (key < self.best_key):
             self.best, self.best_key = value_id, key
-
-    @classmethod
-    def fold(cls, accs, gids, column, state) -> None:
-        """Each group's batch winner by (sort-key rank, row position) —
-        the earliest minimal row, the latest maximal one — offered to its
-        accumulator under the sequential tie rules.  DISTINCT ties depend
-        on global first occurrences, and a NaN literal leaves the order
-        partial, so those replay rows instead."""
-        if column is None:
-            return
-        ranked = None if accs[0].seen is not None else column.ranks(state)
-        if ranked is None:
-            column.replay(accs)
-            return
-        rank, keys = ranked
-        # lexsort is stable: within a (group, rank) run rows keep their order.
-        order = _np.lexsort((rank, column.gids))
-        ordered = column.gids[order]
-        change = ordered[1:] != ordered[:-1]
-        if accs[0].is_max:  # each group's last row: max rank, latest
-            edge = _np.flatnonzero(_np.append(change, True))
-        else:  # each group's first row: min rank, earliest
-            edge = _np.flatnonzero(_np.insert(change, 0, True))
-        rows = order[edge]
-        inverse = column.distinct()[1]
-        for gid, term_id, j in zip(ordered[edge].tolist(),
-                                   column.ids[rows].tolist(),
-                                   inverse[rows].tolist()):
-            accs[gid]._offer(term_id, None if keys is None else keys[j])
 
     def finish(self, state):
         if self.best is None:
@@ -456,14 +287,6 @@ class _Sample:
     def add(self, value_id) -> None:
         if self.first is None and value_id is not None:
             self.first = value_id
-
-    @classmethod
-    def fold(cls, accs, gids, column, state) -> None:
-        if column is None:
-            return
-        present, first = _np.unique(column.gids, return_index=True)
-        for gid, term_id in zip(present.tolist(), column.ids[first].tolist()):
-            accs[gid].add(term_id)
 
     def finish(self, state):
         if self.first is None:
@@ -493,68 +316,221 @@ class _GroupConcat:
             return
         self.parts.append(part)
 
-    @classmethod
-    def fold(cls, accs, gids, column, state) -> None:
-        if column is not None:
-            column.replay(accs)
-
     def finish(self, state):
         if self.errored:
             return _ERROR
         return Literal(" ".join(self.parts))
 
 
-#: func → (accumulator class, extra kwargs)
+# --------------------------------------------------------------------------
+# The group table: one array per aggregate over dense group ids
+# --------------------------------------------------------------------------
+
+
+#: Row count up to which group ids come from a dict, not ``np.unique``.
+_SMALL_TABLE = 64
+
+
+def _group_ids(cols: list, n: int, grouped: bool):
+    """``(dense group id per row, first row of each group)``.
+
+    Ids follow first occurrence: the order the tuple engine's dict
+    creates groups in.  Multi-key grouping refines one ``np.unique``
+    inverse per key column.  Without varying key columns every row is one
+    group, which without GROUP BY exists even over zero rows.
+    """
+    if not cols:
+        size = 1 if n or not grouped else 0
+        return _np.zeros(n, dtype=_np.int64), _np.zeros(size, dtype=_np.int64)
+    if n <= _SMALL_TABLE:  # a dict beats np.unique's fixed cost here
+        ids: dict = {}
+        gids, firsts = [], []
+        for row, key in enumerate(zip(*(col.tolist() for col in cols))):
+            gid = ids.get(key)
+            if gid is None:
+                gid = ids[key] = len(firsts)
+                firsts.append(row)
+            gids.append(gid)
+        return (_np.array(gids, dtype=_np.int64),
+                _np.array(firsts, dtype=_np.int64))
+    code = cols[0]
+    for col in cols[1:]:
+        _uniq, code = _np.unique(code, return_inverse=True)
+        uniq, inverse = _np.unique(col, return_inverse=True)
+        code = code * len(uniq) + inverse
+    _uniq, first, inverse = _np.unique(code, return_index=True,
+                                       return_inverse=True)
+    order = _np.argsort(first, kind="stable")
+    renumber = _np.empty_like(order)
+    renumber[order] = _np.arange(len(order))
+    return renumber[inverse], first[order]
+
+
+class _Column:
+    """One aggregate argument column restricted to its bound rows, with
+    the per-column work — distinct ids, their numbers, their sort-key
+    ranks, the DISTINCT rows — done once for every aggregate reading it."""
+
+    __slots__ = ("gids", "ids", "_distinct", "_numbers", "_ranks", "_firsts")
+
+    def __init__(self, gids, col):
+        bound = col != UNBOUND
+        if bool(bound.all()):
+            self.gids, self.ids = gids, col
+        else:
+            self.gids, self.ids = gids[bound], col[bound]
+        self._distinct = self._numbers = self._ranks = self._firsts = None
+
+    def distinct(self):
+        """``(distinct ids as a list, inverse index per row)``."""
+        if self._distinct is None:
+            uniq, inverse = _np.unique(self.ids, return_inverse=True)
+            self._distinct = (uniq.tolist(), inverse)
+        return self._distinct
+
+    def numbers(self, state):
+        """``(float64 per distinct id, mask of the non-numeric ones or
+        None)``, or None when some id is a malformed number (a NaN
+        literal): its errors, and its place in the order, need the rows
+        replayed."""
+        if self._numbers is None:
+            numbers = [state.numeric(t) for t in self.distinct()[0]]
+            if MALFORMED in numbers:
+                self._numbers = False
+            elif NOT_NUMERIC in numbers:
+                mask = _np.array([v is NOT_NUMERIC for v in numbers])
+                self._numbers = (_np.array([0.0 if v is NOT_NUMERIC else v
+                                            for v in numbers]), mask)
+            else:
+                self._numbers = (_np.array(numbers, dtype=_np.float64), None)
+        return self._numbers or None
+
+    def firsts(self):
+        """Positions of each (group, id) pair's first row, in row order:
+        the rows a DISTINCT aggregate folds."""
+        if self._firsts is None:
+            uniq, inverse = self.distinct()
+            _pairs, first = _np.unique(self.gids * len(uniq) + inverse,
+                                       return_index=True)
+            first.sort()
+            self._firsts = first
+        return self._firsts
+
+    def ranks(self, state):
+        """Dense sort-key rank per row (equal keys share a rank).
+
+        When every id is a number with a distinct value, the sort-key
+        order is the numeric order and no term is decoded.  Callers rule
+        out malformed numbers first.
+        """
+        if self._ranks is None:
+            uniq, inverse = self.distinct()
+            values, mask = self.numbers(state)
+            rank = None
+            if mask is None:
+                ordered = _np.sort(values)
+                if not bool((ordered[1:] == ordered[:-1]).any()):
+                    rank = _np.searchsorted(ordered, values)
+            if rank is None:  # equal numbers or other terms: full sort keys
+                keys = [state.sort_key(t) for t in uniq]
+                position = {key: i for i, key in enumerate(sorted(set(keys)))}
+                rank = _np.array([position[key] for key in keys], dtype=_np.int64)
+            self._ranks = rank[inverse]
+        return self._ranks
+
+
+def _table_count(column, size, state, distinct=False):
+    if column is None:
+        counts = _np.zeros(size, dtype=_np.int64)
+    else:
+        gids = column.gids[column.firsts()] if distinct else column.gids
+        counts = _np.bincount(gids, minlength=size)
+    return state.literals(counts.tolist(), count=True)
+
+
+def _table_sum(column, size, state, distinct=False, average=False):
+    """SUM/AVG: per-group totals added in row order (``np.add.at`` is an
+    unbuffered, in-order fold, so each group performs exactly the float
+    additions ``add`` would); a group holding a non-numeric id errors."""
+    totals = _np.zeros(size, dtype=_np.float64)
+    errored = []
+    if column is not None:
+        numbers = column.numbers(state)
+        if numbers is None:
+            return None
+        values, mask = numbers
+        gids, inverse = column.gids, column.distinct()[1]
+        if distinct:
+            rows = column.firsts()
+            gids, inverse = gids[rows], inverse[rows]
+        if mask is not None:  # non-numeric ids read 0.0 in errored groups
+            errored = _np.flatnonzero(
+                _np.bincount(gids[mask[inverse]], minlength=size)).tolist()
+        with _np.errstate(over="ignore", invalid="ignore"):  # INF + -INF
+            _np.add.at(totals, gids, values[inverse])
+        if average:
+            # An empty group averages to 0 / 1: the literal 0.
+            totals /= _np.maximum(_np.bincount(gids, minlength=size), 1)
+    out = state.literals(totals.tolist())
+    for g in errored:
+        out[g] = _ERROR
+    return out
+
+
+def _table_min_max(column, size, state, distinct=False, is_max=False):
+    """Each group's (sort-key rank, row position) winner: the earliest
+    minimal row, the latest maximal one — the sequential tie rules."""
+    out = [_ERROR] * size  # MIN/MAX over an empty group errors
+    if column is None:
+        return out
+    if column.numbers(state) is None:
+        return None
+    rank, gids, ids = column.ranks(state), column.gids, column.ids
+    if distinct:
+        rows = column.firsts()
+        rank, gids, ids = rank[rows], gids[rows], ids[rows]
+    # lexsort is stable: within a (group, rank) run rows keep their order.
+    order = _np.lexsort((rank, gids))
+    ordered = gids[order]
+    change = ordered[1:] != ordered[:-1]
+    if is_max:  # each group's last row: max rank, latest
+        edge = _np.flatnonzero(_np.append(change, True))
+    else:  # each group's first row: min rank, earliest
+        edge = _np.flatnonzero(_np.insert(change, 0, True))
+    term = state.term
+    for g, term_id in zip(ordered[edge].tolist(), ids[order[edge]].tolist()):
+        out[g] = term(term_id)
+    return out
+
+
+def _table_sample(column, size, state, distinct=False):
+    out = [_ERROR] * size  # SAMPLE over an empty group errors
+    if column is not None:
+        present, first = _np.unique(column.gids, return_index=True)
+        term = state.term
+        for g, term_id in zip(present.tolist(), column.ids[first].tolist()):
+            out[g] = term(term_id)
+    return out
+
+
+#: func → (accumulator class, group-table fold, extra kwargs).  A fold,
+#: called as ``fold(column, number of groups, state, **kwargs)``, gives
+#: one finished value per group, or None to replay the rows through
+#: ``add``; GROUP_CONCAT always replays.
 _ACCUMULATORS = {
-    "COUNT": (_Count, {}),
-    "SUM": (_Sum, {}),
-    "AVG": (_Sum, {"average": True}),
-    "MIN": (_MinMax, {}),
-    "MAX": (_MinMax, {"is_max": True}),
-    "SAMPLE": (_Sample, {}),
-    "GROUP_CONCAT": (_GroupConcat, {}),
+    "COUNT": (_Count, _table_count, {}),
+    "SUM": (_Sum, _table_sum, {}),
+    "AVG": (_Sum, _table_sum, {"average": True}),
+    "MIN": (_MinMax, _table_min_max, {}),
+    "MAX": (_MinMax, _table_min_max, {"is_max": True}),
+    "SAMPLE": (_Sample, _table_sample, {}),
+    "GROUP_CONCAT": (_GroupConcat, None, {}),
 }
 
 
 # --------------------------------------------------------------------------
-# Output programs: projections / HAVING over finished accumulators
+# Output programs: projections / HAVING over the finished group columns
 # --------------------------------------------------------------------------
-
-
-class _Program:
-    """One projection or HAVING expression, pre-analyzed at compile time.
-
-    ``kind`` picks the per-group fast path: ``"agg"`` reads one finished
-    aggregate, ``"key"`` reads one group-key id and decodes it through
-    the execution memo, ``"general"`` runs a register-level expression
-    program (:mod:`repro.sparql.rexpr`) over a synthetic row of
-    ``key ids + finished aggregate values`` — aggregate reads are
-    spliced in through the compiler's ``special`` hook, so no AST is
-    rebuilt per group and no key-binding dict is ever constructed.
-    """
-
-    __slots__ = ("kind", "index", "variable", "expression", "program")
-
-    def __init__(self, kind, index=None, variable=None, expression=None,
-                 program=None):
-        self.kind = kind
-        self.index = index
-        self.variable = variable
-        self.expression = expression
-        self.program = program
-
-    def run(self, agg_values: list, key: tuple, state: "_ExecState") -> Node:
-        if self.kind == "agg":
-            value = agg_values[self.index]
-            if value is _ERROR:
-                raise ExpressionError("aggregate evaluation errored")
-            return value
-        if self.kind == "key":
-            term_id = key[self.index]
-            if term_id is None:
-                raise ExpressionError(f"unbound variable {self.variable.n3()}")
-            return state.term(term_id)
-        return self.program(list(key) + agg_values, state.term)
 
 
 def _collect_aggregates(
@@ -592,25 +568,19 @@ def _collect_aggregates(
     return True
 
 
-def _program_for(expression: Expression, index: dict,
-                 group_vars: tuple[Variable, ...]) -> _Program:
-    if isinstance(expression, Aggregate):
-        return _Program("agg", index=index[expression])
-    if isinstance(expression, TermExpr) and isinstance(expression.term, Variable) \
-            and expression.term in group_vars:
-        return _Program("key", index=group_vars.index(expression.term),
-                        variable=expression.term)
-    # General expression: compile against a synthetic row laid out as
-    # [key ids..., finished aggregate values...].  Group keys read like
-    # registers (ids decoded through the execution memo); aggregate
-    # nodes splice in closures reading the already-finished value.
+def _group_program(expression: Expression, index: dict,
+                   group_vars: tuple[Variable, ...]):
+    """A register program (:mod:`repro.sparql.rexpr`) over one group's row
+    ``(key ids..., finished aggregate values...)``: group keys read like
+    registers, aggregate nodes splice in a read of the finished value, so
+    no AST is rebuilt and no binding dict is built per group."""
     slots = {variable: i for i, variable in enumerate(group_vars)}
     base = len(group_vars)
 
-    def special(expr, base=base, agg_index=index):
+    def special(expr):
         if not isinstance(expr, Aggregate):
             return None
-        position = base + agg_index[expr]
+        position = base + index[expr]
 
         def read_aggregate(row, decode, position=position):
             value = row[position]
@@ -620,8 +590,35 @@ def _program_for(expression: Expression, index: dict,
 
         return read_aggregate
 
-    program = compile_expression(expression, slots, special=special)
-    return _Program("general", expression=expression, program=program)
+    return compile_expression(expression, slots, special=special)
+
+
+def _projection(expression: Expression, index: dict,
+                group_vars: tuple[Variable, ...]) -> tuple:
+    """``("agg", aggregate index)`` or ``("key", key index)`` — the
+    projection reads one finished column — else ``("general", program)``."""
+    if isinstance(expression, Aggregate):
+        return "agg", index[expression]
+    if isinstance(expression, TermExpr) and isinstance(expression.term, Variable) \
+            and expression.term in group_vars:
+        return "key", group_vars.index(expression.term)
+    return "general", _group_program(expression, index, group_vars)
+
+
+def _holds(program, row, decode) -> bool:
+    """A HAVING condition on one group; an error drops the group."""
+    try:
+        return effective_boolean_value(program(row, decode))
+    except ExpressionError:
+        return False
+
+
+def _cell(program, row, decode):
+    """A computed projection on one group; an error leaves it unbound."""
+    try:
+        return program(row, decode)
+    except ExpressionError:
+        return None
 
 
 # --------------------------------------------------------------------------
@@ -632,11 +629,9 @@ def _program_for(expression: Expression, index: dict,
 def compile_aggregate_ex(graph, query: SelectQuery, optimize: bool = True):
     """Lower a qualifying aggregate SELECT into an :class:`AggregatePlan`.
 
-    Returns ``(plan, None)`` on success and ``(None, reason)`` whenever
-    any qualifying rule (see the module docstring) fails; callers fall
-    back to the term-space aggregation path, which handles the full
-    language, and can feed the reason string into the endpoint's
-    per-decline tally.
+    Returns ``(plan, None)``, or ``(None, reason)`` when a qualifying rule
+    (see the module docstring) fails: the caller falls back to the
+    term-space path and tallies the reason.
     """
     if not isinstance(query, SelectQuery) or not query.is_aggregate_query:
         return None, "not-aggregate"
@@ -664,18 +659,14 @@ def compile_aggregate_ex(graph, query: SelectQuery, optimize: bool = True):
     if body is None:
         return None, reason
 
-    projection_programs = tuple(
-        _program_for(p.expression, index, query.group_by) for p in query.projections
-    )
-    having_programs = tuple(
-        _program_for(h, index, query.group_by) for h in query.having
-    )
+    group_vars = tuple(query.group_by)
     plan = AggregatePlan(
         body=body,
-        group_vars=tuple(query.group_by),
+        group_vars=group_vars,
         specs=tuple(specs),
-        projection_programs=projection_programs,
-        having_programs=having_programs,
+        projections=tuple(_projection(p.expression, index, group_vars)
+                          for p in query.projections),
+        having=tuple(_group_program(h, index, group_vars) for h in query.having),
         variables=variables,
     )
     return plan, None
@@ -692,197 +683,201 @@ class AggregatePlan:
 
     ``body`` is the compiled :class:`repro.sparql.operators.WherePlan` for
     the query's WHERE clause — FILTER placement, OPTIONAL/UNION/VALUES and
-    property-path closure all live inside it; this class only folds its
+    property-path closure all live inside it; this class only groups its
     register rows.  Plans are immutable after construction and hold no
     per-execution state, so they are safe to cache and share across
-    threads; each :meth:`execute` builds its own accumulators and decode
-    memos.
+    threads.
     """
 
-    __slots__ = (
-        "body", "group_vars", "key_slots", "specs", "builders",
-        "projection_programs", "having_programs", "variables",
-    )
+    __slots__ = ("body", "group_vars", "key_slots", "specs", "builders",
+                 "projections", "having", "variables")
 
-    def __init__(self, body, group_vars, specs,
-                 projection_programs, having_programs, variables):
+    def __init__(self, body, group_vars, specs, projections, having, variables):
         self.body = body
         self.group_vars = group_vars
         # Group-key registers; None = variable never bound by the body, so
         # its key component is always None (SPARQL keeps such groups).
         self.key_slots = tuple(body.slots.get(v) for v in group_vars)
         self.specs = specs
-        # (class, value slot or None, kwargs) per accumulator.  A variable
-        # the body never binds behaves as always-unbound: every row's
-        # argument errors and is skipped (slot None).
+        # (class, table fold, value slot or None, kwargs) per aggregate.  A
+        # variable the body never binds behaves as always-unbound: every
+        # row's argument errors and is skipped (slot None).
         self.builders = tuple(self._builder(spec, body) for spec in specs)
-        self.projection_programs = projection_programs
-        self.having_programs = having_programs
+        self.projections = projections
+        self.having = having
         self.variables = variables
 
     @staticmethod
     def _builder(spec: Aggregate, body):
         if spec.arg is None:
-            return (_CountAll, None, {})
-        cls, extra = _ACCUMULATORS[spec.func]
+            return (_CountAll, None, None, {})
+        cls, fold, extra = _ACCUMULATORS[spec.func]
         kwargs = dict(extra)
         if spec.distinct:
             kwargs["distinct"] = True
-        return (cls, body.slots.get(spec.arg.term), kwargs)
+        return (cls, fold, body.slots.get(spec.arg.term), kwargs)
 
-    def _new_group(self, state, rowwise: bool = True):
-        """Fresh accumulators for one group, paired with their feeders.
-
-        Returns ``(accumulators, feeders)`` where feeders are prebound
-        ``(add_method, slot)`` pairs — the accumulation loop then costs one
-        method call per aggregate per row with no per-row introspection.
-        The batched fold needs no feeders (``rowwise=False``).
-        """
-        accumulators = [
-            cls(state, **kwargs) for cls, _slot, kwargs in self.builders
-        ]
-        if not rowwise:
-            return accumulators, ()
-        feeders = [
-            (acc.add, slot)
-            for acc, (_cls, slot, _kwargs) in zip(accumulators, self.builders)
-        ]
+    def _new_group(self, state):
+        """Fresh accumulators for one group, paired with their feeders:
+        prebound ``(add_method, slot)`` pairs, so the accumulation loop
+        costs one method call per aggregate per row."""
+        accumulators = [cls(state, **kwargs)
+                        for cls, _fold, _slot, kwargs in self.builders]
+        feeders = [(acc.add, builder[2])
+                   for acc, builder in zip(accumulators, self.builders)]
         return accumulators, feeders
 
-    def execute(self, deadline, vec=None) -> tuple[list[tuple], list[Variable]]:
+    def execute(self, deadline, vec=None, stats=None
+                ) -> tuple[list[tuple], list[Variable]]:
         """Run the fused pipeline; returns ``(rows, variables)``.
 
         With ``vec`` (a :class:`repro.sparql.vectorized.VecConfig`) the
-        body executes batched and each batch folds through the
-        accumulators' grouped ``fold``; otherwise rows stream
-        tuple-at-a-time.  The
-        caller (``Evaluator.select``) applies DISTINCT, ORDER BY with
-        the bounded top-k heap, and OFFSET/LIMIT — identically for fused
-        and term-space results.
+        body executes batched and folds through the group table,
+        otherwise tuple-at-a-time.  ``stats`` (an ``EndpointStats``)
+        counts the groups formed and the rows folded into them.  The
+        caller (``Evaluator.select``) applies DISTINCT, ORDER BY and
+        OFFSET/LIMIT, identically for fused and term-space results.
         """
-        # Decoding goes through the execution context's codec: it
-        # intercepts plan-local pseudo-ids (negative) before they can
-        # reach the dictionary — so VALUES/path constants never seen by
-        # the graph still decode correctly — and additionally covers ids
-        # minted *during* the run (BIND results, subquery cells).
+        # Decoding goes through the execution context's codec: it decodes
+        # plan-local pseudo-ids (negative: VALUES/path constants the graph
+        # never saw) and ids minted during the run (BIND, subquery cells).
+        if vec is None:
+            state, n, size, key_cols, agg_cols = self._stream(deadline)
+        else:
+            state, n, size, key_cols, agg_cols = self._table(deadline, vec)
+        if stats is not None:
+            stats.add("aggregate_rows", n)
+            stats.add("groups_formed", size)
+        return self._rows(key_cols, agg_cols, size, state, deadline), \
+            list(self.variables)
+
+    def _stream(self, deadline):
+        """Tuple-at-a-time fold into a dict of per-group accumulators.
+        Returns ``(state, rows folded, number of groups, key columns,
+        aggregate columns)``: per group variable the key ids (None when
+        unbound), per aggregate the finished values, in group order."""
+        ctx = _ExecContext(self.body, deadline)
+        state = _ExecState(ctx.decode, self.body.dictionary.numeric)
+        rows_iter, _ctx = self.body.rows_stream(deadline, ctx)
         groups: dict[tuple, tuple[list, list]] = {}
         check = deadline.check
-
-        if vec is not None:
-            state = self._fold_batched(deadline, vec, groups)
-        else:
-            ctx = _ExecContext(self.body, deadline)
-            state = _ExecState(ctx.decode, self.body.dictionary.numeric)
-            rows_iter, _ctx = self.body.rows_stream(deadline, ctx)
-            key_slots = self.key_slots
-            get_group = groups.get
-            for row in rows_iter:
-                check()
-                key = tuple(
-                    None if slot is None else row[slot] for slot in key_slots
-                )
-                entry = get_group(key)
-                if entry is None:
-                    entry = self._new_group(state)
-                    groups[key] = entry
-                for add, slot in entry[1]:
-                    add(None if slot is None else row[slot])
-
+        key_slots = self.key_slots
+        get_group = groups.get
+        n = 0
+        for n, row in enumerate(rows_iter, 1):
+            check()
+            key = tuple(
+                None if slot is None else row[slot] for slot in key_slots
+            )
+            entry = get_group(key)
+            if entry is None:
+                entry = self._new_group(state)
+                groups[key] = entry
+            for add, slot in entry[1]:
+                add(None if slot is None else row[slot])
         if not groups and not self.group_vars:
             # SPARQL: with no GROUP BY there is exactly one group, even
             # over zero solutions (COUNT(*) = 0, SUM = 0, MIN errors, ...).
             groups[()] = self._new_group(state)
+        key_cols = [[key[i] for key in groups]
+                    for i in range(len(self.group_vars))]
+        accumulators = [entry[0] for entry in groups.values()]
+        agg_cols = [[accs[j].finish(state) for accs in accumulators]
+                    for j in range(len(self.builders))]
+        return state, n, len(groups), key_cols, agg_cols
 
-        out_rows: list[tuple] = []
-        for key, (accumulators, _feeders) in groups.items():
-            check()
-            agg_values = [acc.finish(state) for acc in accumulators]
-            keep = True
-            for program in self.having_programs:
-                try:
-                    value = program.run(agg_values, key, state)
-                    if not effective_boolean_value(value):
-                        keep = False
-                        break
-                except ExpressionError:
-                    keep = False
-                    break
-            if not keep:
-                continue
-            row_out = []
-            for program in self.projection_programs:
-                try:
-                    row_out.append(program.run(agg_values, key, state))
-                except ExpressionError:
-                    row_out.append(None)
-            out_rows.append(tuple(row_out))
-        return out_rows, list(self.variables)
-
-    def _fold_batched(self, deadline, vec, groups) -> "_ExecState":
-        """Consume batched body execution, one grouped fold per batch.
-
-        Each batch's rows get dense group ids (:meth:`_batch_groups`),
-        then every accumulator class folds the whole batch into the
-        accumulators of those groups (``fold``).  Builds (and returns)
-        the decode state over the batch run's own execution context, so
-        ids minted during the run decode.
-        """
+    def _table(self, deadline, vec):
+        """The group table: every batch folded at once, one array per
+        aggregate over dense group ids.  Returns what :meth:`_stream`
+        returns — same groups, same order, same values — with the decode
+        state over the batch run's own context, so minted ids decode."""
         vctx = _VecCtx(self.body, deadline, vec)
         state = _ExecState(vctx.tctx.decode, self.body.dictionary.numeric)
-        check = deadline.check
-        for batch in collect_batches(self.body, deadline, vec, vctx):
-            check()
-            gids, entries = self._batch_groups(batch, state, groups)
-            columns: dict[int | None, _Column | None] = {}
-            for j, (cls, slot, _kwargs) in enumerate(self.builders):
-                if slot not in columns:
-                    col = None if slot is None else batch.cols[slot]
-                    columns[slot] = None if col is None else _Column(gids, col)
-                cls.fold([entry[0][j] for entry in entries], gids,
-                         columns[slot], state)
-        return state
+        batches = collect_batches(self.body, deadline, vec, vctx)
+        deadline.check()
+        n = sum(batch.n for batch in batches)
+        concatenated: dict = {None: None}
 
-    def _batch_groups(self, batch, state, groups):
-        """Dense per-row group ids for one batch, plus each id's entry.
+        def column(slot):
+            """The slot's ids over every batch, or None if never bound."""
+            if slot not in concatenated:
+                parts = [batch.cols[slot] for batch in batches]
+                concatenated[slot] = None if all(p is None for p in parts) \
+                    else _np.concatenate([
+                        _np.full(b.n, UNBOUND, dtype=_np.int64) if p is None
+                        else p for b, p in zip(batches, parts)])
+            return concatenated[slot]
 
-        Ids follow first occurrence in the batch, so new groups enter
-        ``groups`` in the order the streaming dict would create them.
-        Multi-key grouping refines one ``np.unique`` inverse per key
-        column; only the batch's distinct keys touch the dict.
-        """
-        cols = [None if slot is None else batch.cols[slot]
-                for slot in self.key_slots]
-        varying = [col for col in cols if col is not None]
-        if not varying:
-            gids = _np.zeros(batch.n, dtype=_np.int64)
-            firsts = _np.zeros(1, dtype=_np.int64)
-        else:
-            code = varying[0]
-            for col in varying[1:]:
-                _uniq, code = _np.unique(code, return_inverse=True)
-                uniq, inverse = _np.unique(col, return_inverse=True)
-                code = code * len(uniq) + inverse
-            _uniq, first, inverse = _np.unique(
-                code, return_index=True, return_inverse=True)
-            order = _np.argsort(first, kind="stable")
-            renumber = _np.empty_like(order)
-            renumber[order] = _np.arange(len(order))
-            gids = renumber[inverse]
-            firsts = first[order]
-        key_cells = [
-            None if col is None else
-            [None if v == UNBOUND else v for v in col[firsts].tolist()]
-            for col in cols
-        ]
-        entries = []
-        for g in range(len(firsts)):
-            key = tuple(None if cells is None else cells[g] for cells in key_cells)
-            entry = groups.get(key)
-            if entry is None:
-                entry = self._new_group(state, rowwise=False)
-                groups[key] = entry
-            entries.append(entry)
-        return gids, entries
+        keys = [column(slot) for slot in self.key_slots]
+        gids, firsts = _group_ids([col for col in keys if col is not None],
+                                  n, bool(self.group_vars))
+        size = len(firsts)
+        key_cols = [[None] * size if col is None else
+                    [None if v == UNBOUND else v for v in col[firsts].tolist()]
+                    for col in keys]
+        args: dict = {None: None}
+        agg_cols, replays = [], []
+        for cls, fold, slot, kwargs in self.builders:
+            col = column(slot)
+            if slot not in args:
+                args[slot] = None if col is None else _Column(gids, col)
+            if cls is _CountAll:
+                counts = _np.bincount(gids, minlength=size).tolist()
+                values = state.literals(counts, count=True)
+            else:
+                values = None if fold is None else \
+                    fold(args[slot], size, state, **kwargs)
+            if values is None:
+                ids = [None] * n if col is None else \
+                    [None if v == UNBOUND else v for v in col.tolist()]
+                accs = [cls(state, **kwargs) for _ in range(size)]
+                replays.append((len(agg_cols), accs, ids))
+            agg_cols.append(values)
+        if replays:
+            # GROUP_CONCAT and malformed numbers: the declined aggregates
+            # fold row by row through ``add``, interleaved per row as in
+            # the tuple engine, so order-dependent values and errors match.
+            check = deadline.check
+            for row, g in enumerate(gids.tolist()):
+                check()
+                for _j, accs, ids in replays:
+                    accs[g].add(ids[row])
+            for j, accs, _ids in replays:
+                agg_cols[j] = [acc.finish(state) for acc in accs]
+        return state, n, size, key_cols, agg_cols
+
+    def _rows(self, key_cols, agg_cols, size, state, deadline) -> list[tuple]:
+        """Result rows from the finished group columns.  HAVING and
+        computed projections run per group over its ``(key ids...,
+        aggregate values...)`` row; a key or aggregate projection reads
+        its column."""
+        decode = state.term
+        rows = None
+        if self.having or any(kind == "general" for kind, _ in self.projections):
+            rows = list(zip(*key_cols, *agg_cols)) if key_cols or agg_cols \
+                else [()] * size
+        if self.having:
+            check = deadline.check
+            kept = []
+            for g, row in enumerate(rows):
+                check()
+                if all(_holds(program, row, decode) for program in self.having):
+                    kept.append(g)
+            if len(kept) < size:
+                key_cols = [[col[g] for g in kept] for col in key_cols]
+                agg_cols = [[col[g] for g in kept] for col in agg_cols]
+                rows = [rows[g] for g in kept]
+                size = len(kept)
+        out = []
+        for kind, what in self.projections:
+            if kind == "agg":
+                out.append([None if v is _ERROR else v for v in agg_cols[what]])
+            elif kind == "key":
+                out.append([None if i is None else decode(i)
+                            for i in key_cols[what]])
+            else:
+                out.append([_cell(what, row, decode) for row in rows])
+        return list(zip(*out)) if out else [()] * size
 
     def __repr__(self) -> str:
         return (

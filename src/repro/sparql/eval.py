@@ -222,7 +222,9 @@ class Evaluator:
                 # into per-group accumulators, never materializing
                 # solutions or term-space bindings.  With a vec config the
                 # body runs batched and accumulators fold whole segments.
-                rows, variables = plan.execute(deadline, vec=self.vec_config)
+                rows, variables = plan.execute(
+                    deadline, vec=self.vec_config,
+                    stats=self.stats if counted else None)
                 if counted:
                     self._tally("tuple_executions" if self.vec_config is None
                                 else "batched_executions")
@@ -848,10 +850,16 @@ def _compute_aggregate(aggregate: Aggregate, members: list[Binding]) -> Node:
     raise ExpressionError(f"unsupported aggregate {func}")
 
 
+#: XSD's lexical forms of the non-finite doubles (``repr`` gives
+#: ``inf``, ``-inf`` and ``nan``, which no XSD parser reads back).
+_NON_FINITE = {"inf": "INF", "-inf": "-INF", "nan": "NaN"}
+
+
 def _number_literal(value: float) -> Literal:
     if float(value).is_integer() and abs(value) < 1e15:
         return Literal(str(int(value)), datatype=XSD_INTEGER)
-    return Literal(repr(value), datatype=XSD_DOUBLE)
+    lexical = repr(value)
+    return Literal(_NON_FINITE.get(lexical, lexical), datatype=XSD_DOUBLE)
 
 
 def evaluate_query(graph, query: Query | str, timeout: float | None = None):

@@ -107,8 +107,8 @@ UNBOUND = -(1 << 62)
 
 DEFAULT_BATCH_SIZE = 65536
 
-#: Values beyond 2**53 lose exactness in float64; the vectorized filter
-#: and aggregate fast paths refuse them and fall back to exact folds.
+#: Values beyond 2**53 lose exactness in float64; the vectorized numeric
+#: filter refuses them and falls back to the exact per-row comparison.
 _FLOAT_EXACT_LIMIT = float(1 << 53)
 
 #: Cap on rows a single vectorized expansion may materialize in one

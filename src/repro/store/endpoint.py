@@ -160,6 +160,8 @@ class EndpointStats:
     tuple_executions: int = 0  #: compiled plans run tuple-at-a-time
     #: rows a batched plan sent through the per-row tuple fallback
     fallback_batch_rows: int = 0
+    groups_formed: int = 0  #: groups the fused aggregation finished
+    aggregate_rows: int = 0  #: body rows the fused aggregation folded into groups
     #: why the compiler declined, tallied by the first decline reason string
     #: (covers both plain-SELECT and aggregate fallbacks)
     decline_reasons: dict = field(default_factory=dict, compare=False)

@@ -21,6 +21,7 @@ from repro.serving import QueryCache
 from repro.sparql import Evaluator, compile_aggregate, parse_query
 from repro.sparql.aggregator import AggregatePlan, compile_aggregate_ex
 from repro.store import Endpoint, Graph
+from repro.store.endpoint import COUNTERS
 
 EX = "http://example.org/"
 
@@ -354,6 +355,21 @@ class TestPlanCacheAndCounters:
         assert stats.fallback_selects == 0
         assert stats.decline_reasons == {"aggregate-argument": 1}
 
+    def test_endpoint_counts_groups_and_folded_rows(self):
+        # obs0 has two dims and two values: 4 join rows, so d0 folds 3
+        # rows, d1 2 and d2 1.  HAVING drops groups after they formed; a
+        # query matching nothing still forms its one ungrouped group.
+        grouped = (f"SELECT ?d (SUM(?v) AS ?s) WHERE {{ {BODY} }} "
+                   f"GROUP BY ?d HAVING (SUM(?v) > 5)")
+        empty = f"SELECT (COUNT(*) AS ?n) WHERE {{ ?o <{EX}dim> <{EX}none> }}"
+        for vectorize in (True, False):
+            endpoint = Endpoint(self._cube(), vectorize=vectorize)
+            assert len(endpoint.select(grouped)) == 1
+            endpoint.select(empty)
+            stats = endpoint.stats.snapshot()
+            assert (stats.groups_formed, stats.aggregate_rows) == (3 + 1, 6 + 0)
+        assert {"groups_formed", "aggregate_rows"} <= set(COUNTERS)
+
     def test_no_compile_endpoint_counts_fallback(self):
         graph = self._cube()
         endpoint = Endpoint(graph, compile=False)
@@ -486,46 +502,52 @@ class TestBoundedTopK:
 
 
 class TestBatchedSumExactness:
-    """_Sum.fold must add each group's values in row order, onto the
-    running total: wherever float additions round (a total at 2**53, a
-    non-integer total), summing the batch first and adding it once would
-    break batched == tuple bit-for-bit."""
+    """The group table's SUM/AVG must add each group's values in row
+    order: wherever float additions round (a total at 2**53, a
+    non-integer total), summing the rows in any other order would break
+    batched == tuple bit-for-bit."""
 
     def _fold(self, values_by_id, ids, total=0.0):
-        """One group folded twice: grouped, and row by row via ``add``."""
+        """One group's (SUM, AVG), by the group table and row by row via
+        ``add``.  A nonzero ``total`` is a leading row holding it."""
         np = pytest.importorskip("numpy")
-        from repro.sparql.aggregator import _Column, _ExecState, _Sum
+        from repro.sparql.aggregator import _Column, _ExecState, _Sum, _table_sum
         from repro.store.index import numeric_of
 
         terms = {i: literal_from_python(v) for i, v in values_by_id.items()}
+        if total:
+            terms[len(terms)] = literal_from_python(total)
+            ids = [len(terms) - 1] + ids
         state = _ExecState(terms.__getitem__, lambda i: numeric_of(terms[i]))
-        grouped, rowwise = _Sum(state), _Sum(state)
-        grouped.total = rowwise.total = total
         col = np.array(ids, dtype=np.int64)
         gids = np.zeros(len(ids), dtype=np.int64)
-        _Sum.fold([grouped], gids, _Column(gids, col), state)
-        for term_id in ids:
-            rowwise.add(term_id)
+        grouped, rowwise = [], []
+        for average in (False, True):
+            [value] = _table_sum(_Column(gids, col), 1, state, average=average)
+            grouped.append(value.numeric_value())
+            accumulator = _Sum(state, average=average)
+            for term_id in ids:
+                accumulator.add(term_id)
+            rowwise.append(accumulator.finish(state).numeric_value())
         return grouped, rowwise
 
     def test_small_integer_batch_folds(self):
-        grouped, _rowwise = self._fold({0: 3, 1: 4}, [0, 1, 0])
-        assert grouped.total == 10.0
-        assert grouped.n == 3
+        grouped, rowwise = self._fold({0: 3, 1: 4}, [0, 1, 0])
+        assert grouped == rowwise == [10.0, 10.0 / 3]
 
     def test_declines_when_batch_mass_exceeds_exact_range(self):
         # From a running total of 2**53, each +1 rounds back down
-        # (ties-to-even); summing the batch first would give 2**53 + 2.
+        # (ties-to-even); summing the ones first would give 2**53 + 2.
         grouped, rowwise = self._fold({0: 1}, [0, 0], total=2.0 ** 53)
-        assert grouped.total == rowwise.total == 2.0 ** 53
-        assert grouped.n == rowwise.n == 2
+        assert grouped == rowwise == [2.0 ** 53, 2.0 ** 53 / 3]
 
     def test_declines_on_noninteger_running_total(self):
-        # An earlier inexact batch left 0.5: in row order the second
-        # addition rounds (2**52 + 0.5 -> 2**52); the batch sum would not.
+        # A leading 0.5: in row order the second addition rounds
+        # (2**52 + 0.5 -> 2**52); summing the integers first would not.
         grouped, rowwise = self._fold({0: 2 ** 52 - 1, 1: 1}, [0, 1, 1],
                                       total=0.5)
-        assert grouped.total == rowwise.total == 2.0 ** 52 + 1
+        assert grouped[0] == rowwise[0] == 2.0 ** 52 + 1
+        assert grouped[1] == rowwise[1]
 
     def test_large_value_sum_parity_end_to_end(self):
         # 3 × (2**53 - 1): sequential float folding rounds differently

@@ -1,18 +1,20 @@
-"""The batched grouped fold and the term dictionaries' numeric memo.
+"""The batched group table and the term dictionaries' numeric memo.
 
-Batched aggregation folds each batch in one pass per aggregate (dense
-group ids, ``bincount`` counts and exact sums, rank-and-position
-MIN/MAX, in-order replays elsewhere).  These properties pin it to the
-tuple-at-a-time fold row for row — same groups in the same order, same
-terms, bit-identical floats, same errors — over multi-key GROUP BYs with
-OPTIONAL-unbound key components, every aggregate, and values chosen to
-force each exact and replay path.  Small batch sizes make groups span
-batches.
+Batched aggregation folds every batch of a query into one group table
+(dense first-occurrence group ids, ``bincount`` counts and exact sums,
+rank-and-position MIN/MAX, in-order replays elsewhere).  These properties
+pin it to the tuple-at-a-time fold row for row — same groups in the same
+order, same terms, bit-identical floats, same errors — over multi-key
+GROUP BYs with OPTIONAL-unbound key components, every aggregate, and
+values chosen to force each exact and replay path.  Small batch sizes
+make groups span batches; group ids come from both the small-table dict
+and ``np.unique``.
 """
 
 import gc
 import sys
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.rdf import IRI, Literal, Triple
 from repro.rdf.terms import XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER
-from repro.sparql import Evaluator, parse_query
+from repro.sparql import Evaluator, aggregator, parse_query
 from repro.store import Graph
 from repro.store.index import MALFORMED, NOT_NUMERIC, numeric_of
 
@@ -117,20 +119,28 @@ def outcome(evaluator, query):
         return (type(exc), str(exc))
 
 
+def small_table(enabled):
+    """Group ids from the small-table dict (``enabled``) or ``np.unique``."""
+    limit = aggregator._SMALL_TABLE if enabled else -1
+    return mock.patch.object(aggregator, "_SMALL_TABLE", limit)
+
+
 class TestGroupedFoldParity:
     @settings(max_examples=100, deadline=None)
     @given(observations, st.sampled_from(["?a ?b", "?a ?b ?c", "?b ?c"]),
-           st.booleans(), st.sampled_from([1, 2, 3, 5, 64]))
+           st.booleans(), st.sampled_from([1, 2, 3, 5, 64]), st.booleans())
     def test_batched_equals_tuple_row_for_row(self, rows, keys,
-                                              optional_value, batch_size):
+                                              optional_value, batch_size,
+                                              dict_ids):
         graph = cube(rows)
         assert graph.triple_index.pure_run(0) is not None
         batched = Evaluator(graph, vectorize=True, batch_size=batch_size)
         tuple_engine = Evaluator(graph, vectorize=False)
         for aggregate in AGGREGATES:
             query = grouped_query(keys, aggregate, optional_value)
-            assert outcome(batched, query) == outcome(tuple_engine, query), \
-                aggregate
+            with small_table(dict_ids):
+                got = outcome(batched, query)
+            assert got == outcome(tuple_engine, query), aggregate
 
     def test_min_max_ties_follow_the_row_order(self):
         # "5"^^integer, "5"^^decimal and "5"^^double share one sort key:
@@ -165,6 +175,120 @@ class TestGroupedFoldParity:
         for batch_size in (1, 4, 64):
             batched = Evaluator(graph, vectorize=True, batch_size=batch_size)
             assert batched.select(query).rows == expected
+
+
+def integer(value):
+    return Literal(str(value), datatype=XSD_INTEGER)
+
+
+def member_cube(rows):
+    """Observations of ``(a member, value or None)`` pairs, in order."""
+    triples = []
+    for index, (a, value) in enumerate(rows):
+        obs = iri(f"o{index}")
+        triples.append(Triple(obs, TYPE, OBS))
+        triples.append(Triple(obs, iri("a"), iri(f"a{a}")))
+        if value is not None:
+            triples.append(Triple(obs, iri("v"), integer(value)))
+    return Graph(triples=triples)
+
+
+def select(graph, projections, group_by="?a", where=""):
+    return parse_query(
+        f"SELECT {projections} WHERE {{ ?o <{EX}type> <{EX}Obs> . "
+        f"?o <{EX}a> ?a . OPTIONAL {{ ?o <{EX}v> ?v }} {where} }} {group_by}")
+
+
+def every_engine(graph, query):
+    """The rows of the tuple engine, after asserting that the group table
+    gives the same rows in the same order at every batch size, with
+    group ids from both the dict and ``np.unique``."""
+    expected = Evaluator(graph, vectorize=False).select(query).rows
+    for batch_size in (1, 2, 3, 64):
+        for dict_ids in (True, False):
+            batched = Evaluator(graph, vectorize=True, batch_size=batch_size)
+            with small_table(dict_ids):
+                assert batched.select(query).rows == expected, \
+                    (batch_size, dict_ids)
+    return expected
+
+
+class TestGroupTableCases:
+    def test_count_distinct(self):
+        graph = member_cube([(0, 1), (0, 1), (0, 2), (1, 2), (1, None),
+                             (0, 2), (1, 2)])
+        rows = every_engine(graph, select(
+            graph, "?a (COUNT(DISTINCT ?v) AS ?d) (COUNT(?v) AS ?n)",
+            "GROUP BY ?a"))
+        assert rows == [(iri("a0"), integer(2), integer(4)),
+                        (iri("a1"), integer(1), integer(2))]
+
+    def test_sample_takes_the_first_bound_value(self):
+        graph = member_cube([(0, None), (1, 7), (0, 5), (0, 6), (1, 8)])
+        rows = every_engine(graph, select(
+            graph, "?a (SAMPLE(?v) AS ?s)", "GROUP BY ?a"))
+        assert rows == [(iri("a0"), integer(5)), (iri("a1"), integer(7))]
+
+    def test_all_unbound_argument_column(self):
+        graph = member_cube([(0, None), (1, None), (0, None)])
+        for variable in ("?v", "?never"):  # unbound rows; never-bound slot
+            rows = every_engine(graph, select(
+                graph,
+                f"?a (COUNT({variable}) AS ?n) (SUM({variable}) AS ?s) "
+                f"(AVG({variable}) AS ?m) (MIN({variable}) AS ?lo) "
+                f"(SAMPLE({variable}) AS ?x) (GROUP_CONCAT({variable}) AS ?g) "
+                "(COUNT(*) AS ?all)",
+                "GROUP BY ?a"))
+            zero = integer(0)
+            assert rows == [
+                (iri("a0"), zero, zero, zero, None, None, Literal(""), integer(2)),
+                (iri("a1"), zero, zero, zero, None, None, Literal(""), integer(1)),
+            ]
+
+    def test_zero_rows(self):
+        graph = member_cube([(0, 1)])
+        nothing = f"FILTER (?a = <{EX}none>)"
+        projections = "(COUNT(*) AS ?n) (SUM(?v) AS ?s) (MIN(?v) AS ?lo)"
+        grouped = every_engine(graph, select(
+            graph, f"?a {projections}", "GROUP BY ?a", nothing))
+        assert grouped == []
+        ungrouped = every_engine(graph, select(graph, projections, "", nothing))
+        assert ungrouped == [(integer(0), integer(0), None)]
+
+    def test_distinct_folds_follow_first_occurrence_not_id_order(self):
+        # The dictionary meets the values in reverse, so id order is the
+        # reverse of first occurrence.  "5"^^integer and "5"^^decimal
+        # share a sort key: MAX(DISTINCT) keeps the later first
+        # occurrence.  0.1 + 0.2 + 0.3 rounds differently backwards.
+        tie = [Literal("5", datatype=XSD_INTEGER), Literal("5", datatype=XSD_DECIMAL)]
+        tenths = [Literal(f"0.{i}", datatype=XSD_DECIMAL) for i in (1, 2, 3)]
+        for values, aggregate, expected in ((tie, "MAX", tie[1]),
+                                            (tenths, "SUM", None)):
+            triples = [Triple(iri(f"seen{i}"), iri("w"), value)
+                       for i, value in enumerate(reversed(values))]
+            for index, value in enumerate(values + values):
+                obs = iri(f"o{index}")
+                triples += [Triple(obs, TYPE, OBS), Triple(obs, iri("a"), iri("a0")),
+                            Triple(obs, iri("v"), value)]
+            graph = Graph(triples=triples)
+            [(_a, value)] = every_engine(graph, select(
+                graph, f"?a ({aggregate}(DISTINCT ?v) AS ?x)", "GROUP BY ?a"))
+            if expected is None:
+                assert value.numeric_value() == 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1
+            else:
+                assert value == expected
+
+    def test_groups_follow_first_occurrence_across_batches(self):
+        members = [3, 1, 3, 0, 2, 1, 0, 4, 2, 3]
+        graph = member_cube([(a, i) for i, a in enumerate(members)])
+        body_order = [row[0] for row in Evaluator(graph).select(parse_query(
+            f"SELECT ?a WHERE {{ ?o <{EX}type> <{EX}Obs> . ?o <{EX}a> ?a . "
+            f"OPTIONAL {{ ?o <{EX}v> ?v }} }}")).rows]
+        first_seen = list(dict.fromkeys(body_order))
+        rows = every_engine(graph, select(
+            graph, "?a (SUM(?v) AS ?s) (MAX(?v) AS ?hi)", "GROUP BY ?a"))
+        assert [row[0] for row in rows] == first_seen
+        assert len(first_seen) == 5
 
 
 def value_cube(values, prefix="o"):

@@ -220,3 +220,27 @@ class TestEdgeCases:
         query = cube_query(1, 1, (a,))
         rows = self.rows([((a, a), 1), ((a, b), 2)])
         assert SimilaritySearch().propose(query, result_set(query, rows)) == []
+
+    def test_every_example_tuple_stays_in_the_values_rows(self):
+        # Two example tuples anchor the same column.  b is the least
+        # similar to a, yet the refinement must keep both examples.
+        a, b, c, d = MEMBERS[:4]
+        query = cube_query(1, 1, (a,))
+        second = Anchor(query.anchors[0].level, b, keyword="kw-b", group=1)
+        query = query.with_anchors(query.anchors + (second,))
+        rows = self.rows([((a, a), 1), ((a, b), 2), ((b, a), 9), ((b, b), 1),
+                          ((c, a), 1), ((c, b), 2), ((d, a), 2), ((d, b), 1)])
+        proposals = SimilaritySearch(k=1).propose(query, result_set(query, rows))
+        assert len(proposals) == 4
+        for proposal in proposals:
+            assert proposal.query.member_restrictions[-1].rows == ((a,), (b,), (c,))
+
+    def test_two_keywords_in_one_column_are_two_example_rows(self):
+        a, b, c, d = MEMBERS[:4]
+        query = cube_query(1, 1, (a,))
+        second = Anchor(query.anchors[0].level, b, keyword="kw-b")
+        query = query.with_anchors(query.anchors + (second,))
+        rows = self.rows([((a, a), 1), ((a, b), 2), ((b, a), 9), ((b, b), 1),
+                          ((c, a), 1), ((c, b), 2), ((d, a), 2), ((d, b), 1)])
+        [proposal, *_] = SimilaritySearch(k=1).propose(query, result_set(query, rows))
+        assert proposal.query.member_restrictions[-1].rows == ((a,), (b,), (c,))
