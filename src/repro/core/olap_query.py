@@ -254,30 +254,26 @@ class OLAPQuery:
         """Indexes of result rows matching the example.
 
         A row matches when there is some example tuple (anchor *group*)
-        whose every anchor with an in-query level variable equals the
-        row's value.  This is the example-containment check every
-        refinement preserves; with a single example tuple it degenerates
-        to "all anchors match".
+        such that, in every column holding one of its anchors, the row's
+        value is one of that group's anchors in that column.  Two keywords
+        of one tuple may share a column (two destination countries), and
+        then each is a match.  This is the example-containment check every
+        refinement preserves.
         """
         variables = set(results.variables)
-        groups: dict[int, list[Anchor]] = {}
+        groups: dict[int, dict[int, set]] = {}
         for anchor in self.anchors:
             if anchor.variable in variables:
-                groups.setdefault(anchor.group, []).append(anchor)
+                column = results.index_of(anchor.variable)
+                groups.setdefault(anchor.group, {}).setdefault(
+                    column, set()).add(anchor.member)
         if not groups:
             return list(range(len(results)))
-        columns = {
-            anchor: results.index_of(anchor.variable)
-            for members in groups.values()
-            for anchor in members
-        }
-        matches = []
-        for index, row in enumerate(results.rows):
-            for members in groups.values():
-                if all(row[columns[a]] == a.member for a in members):
-                    matches.append(index)
-                    break
-        return matches
+        return [
+            index for index, row in enumerate(results.rows)
+            if any(all(row[column] in members for column, members in group.items())
+                   for group in groups.values())
+        ]
 
     def __repr__(self) -> str:
         dims = ", ".join(d.label for d in self.dimensions)

@@ -43,7 +43,7 @@ class Percentile(RefinementMethod):
         if not matching or len(results) < 2:
             return []
         columns, values = measure_columns(query, results, float("nan"))
-        cut_values = np.percentile(values, self.cuts, axis=1).T  # a row per column
+        cut_values = _percentiles(values, self.cuts)  # a row per column
         # in_band[j, i, b]: row i of column j is neither below band b's low cut
         # nor at or above its high one.  Comparisons with NaN are false, so a
         # NaN cut excludes no row and a NaN value falls in every band.
@@ -78,6 +78,31 @@ class Percentile(RefinementMethod):
                     )
                 )
         return proposals
+
+
+def _percentiles(values: np.ndarray, cuts: tuple[int, ...]) -> np.ndarray:
+    """``np.percentile``'s linear interpolation per row, exact at ±INF.
+
+    numpy's interpolation formula turns an infinite neighbour into NaN
+    even where the answer is defined (the median of [-INF, 5, INF] is 5).
+    Those cells are recomputed on the extended reals: a cut that lands on
+    an order statistic is that statistic, an infinite neighbour absorbs
+    any fraction of the way toward it, and between -INF and +INF the
+    nearer one is taken.  A row holding NaN keeps its NaN cuts.
+    """
+    with np.errstate(invalid="ignore"):
+        linear = np.percentile(values, cuts, axis=1).T
+    broken = np.isnan(linear) & ~np.isnan(values).any(axis=1)[:, None]
+    if not broken.any():
+        return linear
+    ordered = np.sort(values, axis=1)
+    position = np.array(cuts) / 100 * (values.shape[1] - 1)
+    low = np.floor(position).astype(np.int64)
+    high = np.minimum(low + 1, values.shape[1] - 1)
+    fraction = position - low
+    below, above = ordered[:, low], ordered[:, high]
+    keep_low = (fraction == 0) | (np.isinf(below) & (~np.isinf(above) | (fraction < 0.5)))
+    return np.where(broken, np.where(keep_low, below, above), linear)
 
 
 def _band_constraint(measure, func: str, low: float | None, high: float | None) -> Expression:

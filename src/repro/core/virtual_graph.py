@@ -9,23 +9,25 @@ the origin-continent level), which is also exactly the BGP chain a
 generated query needs.
 
 The graph is built at system bootstrap by crawling the SPARQL endpoint,
-given nothing but the observation class: first the dimension and measure
-predicates are discovered from the observations, then hierarchies are
-followed recursively from dimension members to further non-literal nodes
-(with a depth cap guarding against cycles).  This mirrors the paper's
-construction and its cost profile — bootstrap time is dominated by the
-endpoint's scan performance, not by schema size (Figure 6c).
+given nothing but the observation class.  A roll-up step maps one level's
+members to the next level's, so only level 1 needs the observations: one
+scan yields every dimension predicate with its member set, and each
+deeper level is the image of its parent's members under one roll-up
+predicate, read by one query over those members (a depth cap guards
+against cycles).  Bootstrap cost grows with the schema, plus three
+linear observation scans (dimension, measure and attribute predicates).
 """
 
 from __future__ import annotations
 
+import heapq
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from ..errors import BootstrapError
 from ..qb.vocabulary import LABEL, MEMBER_OF, ROLLS_UP_TO, TYPE
 from ..rdf.namespace import QB, QB4O
-from ..rdf.terms import IRI, Variable
+from ..rdf.terms import IRI, Literal, Variable
 from ..store.endpoint import Endpoint
 
 __all__ = ["VLevel", "VirtualSchemaGraph", "DEFAULT_EXCLUDED_PREDICATES"]
@@ -205,22 +207,22 @@ class VirtualSchemaGraph:
 
         This is the paper's incremental-update path: when only new data
         arrives under an unchanged schema, the structure is reusable and
-        only the per-level statistics need refreshing.
+        only the per-level statistics need refreshing: the member-set walk
+        recounts and resamples the known levels' members.
         """
-        updated: dict[tuple[IRI, ...], VLevel] = {}
+        # The bootstrap's sample size, as far as the samples show it.
+        shown = max(len(level.sample_members) for level in self.levels.values())
+        crawler = _Crawler(endpoint, self.observation_class, sample_size=shown)
+        found = crawler.walk((*self.measures, *self.observation_attributes),
+                             lambda path, predicate, _: path + (predicate,) in self.levels)
+        updated = {}
         for path, level in self.levels.items():
-            count = _count_members(endpoint, self.observation_class, path)
-            updated[path] = VLevel(
-                path=level.path,
-                member_count=count,
-                label=level.label,
-                attribute_predicates=level.attribute_predicates,
-                sample_members=level.sample_members,
-            )
-        n_obs = _count_observations(endpoint, self.observation_class)
+            members = found[path][0] if path in found else set()
+            updated[path] = replace(level, member_count=len(members),
+                                    sample_members=crawler.samples(members))
         return VirtualSchemaGraph(
-            self.observation_class, updated, dict(self.measures), n_obs,
-            self.observation_attributes,
+            self.observation_class, updated, dict(self.measures),
+            crawler.count_observations(), self.observation_attributes,
         )
 
 
@@ -229,119 +231,116 @@ def _path_key(path: tuple[IRI, ...]) -> tuple:
 
 
 class _Crawler:
-    """Bootstrap worker issuing the discovery queries against the endpoint."""
+    """Bootstrap worker: walks distinct member sets through the endpoint.
 
-    def __init__(self, endpoint, observation_class, excluded, max_depth, sample_size):
+    Each level costs one query over its members (``VALUES ?m { ... } ?m ?q
+    ?x``), whose rows give its attribute and roll-up predicates and each
+    child level's member set.  Blank-node members cannot be named in
+    ``VALUES``: they are counted and sampled, but not followed.
+    """
+
+    def __init__(self, endpoint, observation_class,
+                 excluded=DEFAULT_EXCLUDED_PREDICATES,
+                 max_depth=DEFAULT_MAX_DEPTH, sample_size=3):
         self.endpoint = endpoint
         self.cls = observation_class
         self.excluded = excluded
         self.max_depth = max_depth
         self.sample_size = sample_size
+        self._labels: dict[IRI, str] = {}
 
     def crawl(self, factory) -> "VirtualSchemaGraph":
-        n_obs = _count_observations(self.endpoint, self.cls)
+        n_obs = self.count_observations()
         if n_obs == 0:
-            raise BootstrapError(
-                f"no observations of class {self.cls.n3()} in the endpoint"
-            )
-        dimension_predicates, measure_predicates, obs_attributes = self._observation_predicates()
+            raise BootstrapError(f"no observations of class {self.cls.n3()} in the endpoint")
+        # Numeric literal objects → measures; other literals → attributes.
+        measure_predicates = self._predicates("isNumeric(?x)")
         if not measure_predicates:
             raise BootstrapError("no numeric measure predicates found on observations")
-        levels: dict[tuple[IRI, ...], VLevel] = {}
-        for predicate in dimension_predicates:
-            self._expand((predicate,), levels)
+        obs_attributes = self._predicates("isLiteral(?x) && !isNumeric(?x)")
+        found = self.walk((*measure_predicates, *obs_attributes), self._follows)
+        levels = {
+            path: VLevel(path, len(members),
+                         " / ".join(self._predicate_label(p) for p in path),
+                         attributes, self.samples(members))
+            for path, (members, attributes) in found.items()
+        }
         measures = {p: self._predicate_label(p) for p in measure_predicates}
         return factory(self.cls, levels, measures, n_obs, tuple(obs_attributes))
 
-    def _observation_predicates(self) -> tuple[list[IRI], list[IRI], list[IRI]]:
-        """Classify the predicates attached to observations.
+    def _follows(self, path: tuple[IRI, ...], predicate: IRI, rollup: bool) -> bool:
+        """Whether the crawl opens a level at ``path + (predicate,)``."""
+        if predicate in self.excluded or not rollup:
+            return False
+        return not path or (len(path) < self.max_depth and predicate not in path)
 
-        Non-literal objects → dimension predicates; numeric literals →
-        measures; other literals → plain observation attributes.
+    def walk(self, literal_predicates, follows) -> dict:
+        """``{path: (member set, attribute predicates)}`` for every level
+        ``follows(parent_path, predicate, is_rollup)`` admits, depth first.
+
+        A dimension predicate among ``literal_predicates`` (those with
+        literal objects) has those literals as level-1 members too.
         """
-        result = self.endpoint.select(
-            f"SELECT DISTINCT ?p WHERE {{ ?o a {self.cls.n3()} . ?o ?p ?x . "
-            f"FILTER(!isLiteral(?x)) }}"
-        )
-        dimensions = sorted(
-            (row[0] for row in result if row[0] not in self.excluded),
-            key=lambda p: p.value,
-        )
-        result = self.endpoint.select(
-            f"SELECT DISTINCT ?p WHERE {{ ?o a {self.cls.n3()} . ?o ?p ?x . "
-            f"FILTER(isNumeric(?x)) }}"
-        )
-        measures = sorted((row[0] for row in result), key=lambda p: p.value)
-        result = self.endpoint.select(
-            f"SELECT DISTINCT ?p WHERE {{ ?o a {self.cls.n3()} . ?o ?p ?x . "
-            f"FILTER(isLiteral(?x) && !isNumeric(?x)) }}"
-        )
-        attributes = sorted((row[0] for row in result), key=lambda p: p.value)
-        return dimensions, measures, attributes
+        base: dict[IRI, set] = {}
+        for predicate, member in self._scan("?p ?x", "!isLiteral(?x)"):
+            base.setdefault(predicate, set()).add(member)
+        mixed = " ".join(p.n3() for p in literal_predicates
+                         if p in base and follows((), p, True))
+        if mixed:
+            for predicate, member in self._scan(
+                    "?p ?x", "isLiteral(?x)", f"VALUES ?p {{ {mixed} }} "):
+                base[predicate].add(member)
+        found: dict = {}
+        for predicate in sorted(base):
+            if follows((), predicate, True):
+                self._descend((predicate,), base[predicate], follows, found)
+        return found
 
-    def _expand(self, path: tuple[IRI, ...], levels: dict) -> None:
-        """Depth-first: register the level at ``path``, then follow rollups."""
-        member_count, samples = self._level_members(path)
-        if member_count == 0:
-            return
-        levels[path] = VLevel(
-            path=path,
-            member_count=member_count,
-            label=" / ".join(self._predicate_label(p) for p in path),
-            attribute_predicates=tuple(self._attribute_predicates(path)),
-            sample_members=samples,
-        )
-        if len(path) >= self.max_depth:
-            return
-        for predicate in self._rollup_predicates(path):
-            if predicate in self.excluded or predicate in path:
-                continue
-            self._expand(path + (predicate,), levels)
+    def _descend(self, path, members, follows, found) -> None:
+        """Register the level at ``path``, then the child levels it admits."""
+        images: dict[IRI, set] = {}
+        attributes, rollups = set(), set()
+        named = " ".join(m.n3() for m in members if isinstance(m, IRI))
+        if named:
+            result = self.endpoint.select(
+                f"SELECT DISTINCT ?q ?x WHERE {{ VALUES ?m {{ {named} }} ?m ?q ?x }}"
+            )
+            for predicate, target in result.rows:
+                images.setdefault(predicate, set()).add(target)
+                (attributes if isinstance(target, Literal) else rollups).add(predicate)
+        found[path] = (members, tuple(sorted(attributes)))
+        for predicate in sorted(images):
+            if follows(path, predicate, predicate in rollups):
+                self._descend(path + (predicate,), images[predicate], follows, found)
 
-    def _level_members(self, path: tuple[IRI, ...]) -> tuple[int, tuple[IRI, ...]]:
-        chain = " / ".join(p.n3() for p in path)
-        result = self.endpoint.select(
-            f"SELECT DISTINCT ?m WHERE {{ ?o a {self.cls.n3()} . ?o {chain} ?m }}"
-        )
-        members = sorted((row[0] for row in result), key=lambda t: t.sort_key())
-        return len(members), tuple(members[: self.sample_size])
+    def _scan(self, keys: str, constraint: str, prefix: str = "") -> list:
+        """The distinct ``keys`` rows of one observation-triple scan, grouped:
+        the engine folds groups in id space but decodes every row for DISTINCT."""
+        return self.endpoint.select(
+            f"SELECT {keys} WHERE {{ {prefix}?o a {self.cls.n3()} . ?o ?p ?x . "
+            f"FILTER({constraint}) }} GROUP BY {keys}"
+        ).rows
 
-    def _rollup_predicates(self, path: tuple[IRI, ...]) -> list[IRI]:
-        chain = " / ".join(p.n3() for p in path)
-        result = self.endpoint.select(
-            f"SELECT DISTINCT ?q WHERE {{ ?o a {self.cls.n3()} . ?o {chain} ?m . "
-            f"?m ?q ?x . FILTER(!isLiteral(?x)) }}"
-        )
-        return sorted((row[0] for row in result), key=lambda p: p.value)
+    def _predicates(self, constraint: str) -> list[IRI]:
+        return sorted(row[0] for row in self._scan("?p", constraint))
 
-    def _attribute_predicates(self, path: tuple[IRI, ...]) -> list[IRI]:
-        chain = " / ".join(p.n3() for p in path)
+    def count_observations(self) -> int:
         result = self.endpoint.select(
-            f"SELECT DISTINCT ?q WHERE {{ ?o a {self.cls.n3()} . ?o {chain} ?m . "
-            f"?m ?q ?x . FILTER(isLiteral(?x)) }}"
+            f"SELECT (COUNT(?o) AS ?n) WHERE {{ ?o a {self.cls.n3()} }}"
         )
-        return sorted((row[0] for row in result), key=lambda p: p.value)
+        return int(result.rows[0][0].lexical)
+
+    def samples(self, members) -> tuple:
+        return tuple(heapq.nsmallest(self.sample_size, members,
+                                     key=lambda t: t.sort_key()))
 
     def _predicate_label(self, predicate: IRI) -> str:
-        result = self.endpoint.select(
-            f"SELECT ?l WHERE {{ {predicate.n3()} {LABEL.n3()} ?l }} LIMIT 1"
-        )
-        if result.rows:
-            return result.rows[0][0].lexical
-        return predicate.local_name().replace("_", " ").title()
-
-
-def _count_observations(endpoint, observation_class: IRI) -> int:
-    result = endpoint.select(
-        f"SELECT (COUNT(?o) AS ?n) WHERE {{ ?o a {observation_class.n3()} }}"
-    )
-    return int(result.rows[0][0].lexical)
-
-
-def _count_members(endpoint, observation_class: IRI, path: tuple[IRI, ...]) -> int:
-    chain = " / ".join(p.n3() for p in path)
-    result = endpoint.select(
-        f"SELECT (COUNT(DISTINCT ?m) AS ?n) WHERE {{ ?o a {observation_class.n3()} . "
-        f"?o {chain} ?m }}"
-    )
-    return int(result.rows[0][0].lexical)
+        """The predicate's ``rdfs:label``, asked for once per crawl."""
+        if predicate not in self._labels:
+            rows = self.endpoint.select(
+                f"SELECT ?l WHERE {{ {predicate.n3()} {LABEL.n3()} ?l }} LIMIT 1"
+            ).rows
+            self._labels[predicate] = (
+                rows[0][0].lexical if rows
+                else predicate.local_name().replace("_", " ").title())
+        return self._labels[predicate]

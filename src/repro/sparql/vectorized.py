@@ -65,9 +65,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as _np
 
 from ..errors import QueryEvaluationError, QueryTimeoutError
-from ..rdf.terms import Literal, Variable
+from ..rdf.terms import BNode, Literal, Variable
 from ..store.index import MALFORMED, NOT_NUMERIC, numeric_of
-from .ast import Comparison, TermExpr
+from .ast import BoolOp, Comparison, FunctionCall, NotExpr, TermExpr
 from .expressions import ExpressionError, effective_boolean_value
 from .operators import (
     _EMPTY_MASK,
@@ -610,18 +610,22 @@ def _contains_mask(run, m, s_vals, o_vals, pc, n):
 
 
 def _run_filter(op: FilterOp, batch: Batch, vctx: _VecCtx):
-    """FILTER over a batch, in three tiers per constraint.
+    """FILTER over a batch, in four tiers per constraint.
 
     Numeric ``?v OP literal`` comparisons vectorize through a float per
-    distinct id, read from the term dictionary's memo; every other
-    constraint whose register program reads at most one bound column
-    evaluates the program once per distinct id into a boolean table
-    (exact expression semantics, errors remove the row); multi-column
-    programs fall back to the tuple operator for the whole batch.
+    distinct id, read from the term dictionary's memo; type tests
+    (``isIRI``/``isLiteral``/... under ``!``/``&&``/``||``) vectorize
+    through one kind code per distinct id; every other constraint whose
+    register program reads at most one bound column evaluates the program
+    once per distinct id into a boolean table (exact expression
+    semantics, errors remove the row); multi-column programs fall back to
+    the tuple operator for the whole batch.
     """
     mask = None
     for constraint, program in zip(op.filters, op.programs):
         part = _comparison_mask(op, constraint, batch, vctx)
+        if part is None:
+            part = _type_test_mask(op, constraint, batch, vctx)
         if part is None:
             part = _program_mask(program, batch, vctx)
         if part is None:
@@ -653,6 +657,64 @@ def _comparison_mask(op: FilterOp, constraint, batch: Batch, vctx: _VecCtx):
     if opname == "=":
         return values == const
     return values != const
+
+
+#: Kind bits of the type-test tier: the tests a term passes.
+_TYPE_TESTS = {"ISIRI": 1, "ISURI": 1, "ISBLANK": 2, "ISLITERAL": 4,
+               "ISNUMERIC": 8}
+
+
+def _term_kind(term) -> int:
+    if isinstance(term, Literal):
+        return 12 if term.is_numeric else 4
+    return 2 if isinstance(term, BNode) else 1
+
+
+def _type_test_mask(op: FilterOp, constraint, batch: Batch, vctx: _VecCtx):
+    """Boolean mask for a FILTER built only from type tests of one fully
+    bound column, or None.
+
+    A bound term never makes a type test error, so ``!``/``&&``/``||``
+    reduce to numpy boolean algebra over one kind code per distinct id.
+    """
+    variable = _type_test_variable(constraint.expression)
+    slot = dict(op.slot_items).get(variable)
+    if slot is None or batch.state(slot) != "all":
+        return None
+    uniq, inverse = _np.unique(batch.cols[slot], return_inverse=True)
+    stored = vctx.plan.dictionary.decode
+    decode = vctx.tctx.decode
+    kinds = _np.fromiter(
+        (_term_kind(stored(i) if i >= 0 else decode(i)) for i in uniq.tolist()),
+        dtype=_np.int64, count=len(uniq))
+    return _type_test_eval(constraint.expression, kinds)[inverse]
+
+
+def _type_test_variable(expr):
+    """The one variable a pure type-test tree reads, else None."""
+    if isinstance(expr, FunctionCall):
+        if expr.name.upper() in _TYPE_TESTS and len(expr.args) == 1:
+            arg = expr.args[0]
+            if isinstance(arg, TermExpr) and isinstance(arg.term, Variable):
+                return arg.term
+        return None
+    if isinstance(expr, NotExpr):
+        return _type_test_variable(expr.operand)
+    if isinstance(expr, BoolOp):
+        found = {_type_test_variable(operand) for operand in expr.operands}
+        if len(found) == 1:
+            return found.pop()
+    return None
+
+
+def _type_test_eval(expr, kinds):
+    if isinstance(expr, FunctionCall):
+        return (kinds & _TYPE_TESTS[expr.name.upper()]) != 0
+    if isinstance(expr, NotExpr):
+        return ~_type_test_eval(expr.operand, kinds)
+    parts = [_type_test_eval(operand, kinds) for operand in expr.operands]
+    fold = _np.logical_and if expr.op == "&&" else _np.logical_or
+    return fold.reduce(parts)
 
 
 def _program_mask(program, batch: Batch, vctx: _VecCtx):

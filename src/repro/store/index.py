@@ -447,7 +447,8 @@ class TripleIndex:
     automatically once ``delta + tombstones`` exceeds
     ``max(flush_threshold, run_rows // 4)``, which keeps total merge work
     amortized-linear over an ingest.  Bulk writers end with
-    :meth:`settle`, which drops the ``flush_threshold`` floor.
+    :meth:`settle`, which drops the ``flush_threshold`` floor and merges
+    the tail of a write that flushed automatically.
     """
 
     __slots__ = (
@@ -455,7 +456,7 @@ class TripleIndex:
         "_dead", "_dead_sp", "_dead_po", "_dead_os",
         "_dead_s", "_dead_p", "_dead_o",
         "_size", "_p_counts", "_p_subjects", "_p_objects",
-        "_flush_threshold",
+        "_flush_threshold", "_auto_flushed",
     )
 
     def __init__(self, flush_threshold: int = DEFAULT_FLUSH_THRESHOLD) -> None:
@@ -479,6 +480,8 @@ class TripleIndex:
         self._p_subjects: dict[int, int] = {}
         self._p_objects: dict[int, int] = {}
         self._flush_threshold = max(1, flush_threshold)
+        #: An automatic flush ran since the last :meth:`settle`.
+        self._auto_flushed = False
 
     def __len__(self) -> int:
         return self._size
@@ -574,20 +577,25 @@ class TripleIndex:
         pending = self._delta_size + len(self._dead)
         if pending >= self._flush_threshold and pending >= self._runs[0].n >> 2:
             self.flush()
+            self._auto_flushed = True
 
     def settle(self) -> None:
         """End of a bulk write: merge once pending mutations reach a quarter
-        of the run.
+        of the run, or whatever is pending after an automatic flush.
 
         The amortized half of the automatic rule without the
         ``flush_threshold`` floor, so a bulk-loaded graph of any size
         leaves its delta in sorted runs — where batched scans and probes
         need it (:meth:`pure_run`) — while a small write on a large run
-        stays buffered.
+        stays buffered.  A write that crossed the automatic threshold was
+        large enough to pay one merge; without the second, its tail (a
+        small remainder next to the run it just grew) would stay buffered
+        and turn every batched scan into a per-row fallback.
         """
         pending = self._delta_size + len(self._dead)
-        if pending and pending >= self._runs[0].n >> 2:
+        if pending and (self._auto_flushed or pending >= self._runs[0].n >> 2):
             self.flush()
+        self._auto_flushed = False
 
     # -- mutation -----------------------------------------------------------
 

@@ -96,3 +96,26 @@ class TestValidation:
     def test_has_dimension_predicate(self, base_query):
         assert base_query.has_dimension_predicate(prop("ref_period"))
         assert not base_query.has_dimension_predicate(prop("country_of_origin"))
+
+
+class TestAnchorsSharingAColumn:
+    def test_two_keywords_of_one_tuple_in_one_column(self):
+        # ("Germany", "France") as two destination countries: one example
+        # tuple, one grouping column.  A row holding either member matches;
+        # no row can hold both.
+        from repro.core import Anchor, MeasureColumn, OLAPQuery, QueryDimension, VLevel
+        from repro.sparql.results import ResultSet
+
+        level = VLevel((prop("country_of_destination"),), member_count=3,
+                       label="Country Of Destination")
+        germany, france, italy = (IRI(MINI + f"member/{n}")
+                                  for n in ("de", "fr", "it"))
+        measure = MeasureColumn(prop("num_applicants"), "Num Applicants")
+        query = OLAPQuery(
+            IRI(MINI + "Observation"), (QueryDimension(level),), (measure,),
+            anchors=(Anchor(level, germany, "Germany"),
+                     Anchor(level, france, "France")),
+        )
+        results = ResultSet([level.variable()],
+                            [(germany,), (italy,), (france,)])
+        assert query.anchor_row_indexes(results) == [0, 2]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.rdf import IRI, Literal, Quad, Triple, literal_from_python
-from repro.store import Dataset, Graph, GraphView, TermDictionary, TripleIndex
+from repro.store import Dataset, Endpoint, Graph, GraphView, TermDictionary, TripleIndex
 
 EX = "http://example.org/"
 
@@ -224,6 +224,22 @@ class TestBulkWritesSettle:
         assert reopened.recovery.replayed_records == len(self.TRIPLES)
         assert self.settled(reopened)
         reopened.close()
+
+    def test_load_past_an_automatic_flush_merges_its_tail(self):
+        # 40 triples with a floor of 9: the last automatic flush leaves a
+        # tail of 4 next to a run of 36, which settle's quarter rule alone
+        # would leave buffered.
+        graph = Graph(flush_threshold=9)
+        graph.add_all(self.TRIPLES)
+        assert self.settled(graph)
+        endpoint = Endpoint(graph)
+        rows = endpoint.select(
+            f"SELECT ?s ?o WHERE {{ ?s {iri('p').n3()} ?o . FILTER(isLiteral(?o)) }}")
+        assert len(rows) == 40
+        assert endpoint.stats.fallback_batch_rows == 0
+        # A later small write that flushes nothing stays buffered.
+        graph.add_all([t("x", "p", "y")])
+        assert graph.triple_index.pending_mutations == 1
 
     def test_small_writes_on_a_large_run_stay_buffered(self):
         graph = Graph(triples=self.TRIPLES)

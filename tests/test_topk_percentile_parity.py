@@ -8,8 +8,10 @@ columns with ties, infinities and non-numeric cells, every proposal's HAVING
 constant, its ``k`` and its explanation must be the same.
 """
 
+import math
+import warnings
+
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import Percentile, TopK
@@ -57,6 +59,29 @@ def topk_oracle(query, results):
     return out
 
 
+def percentile_cut(values, pct):
+    """Linear-interpolation percentile on the extended reals, per value.
+
+    numpy's own interpolation where both neighbours are finite; at an
+    infinite neighbour the order statistic the cut lands on, else the
+    infinity (the nearer one between -INF and +INF).
+    """
+    if any(math.isnan(v) for v in values):
+        return float("nan")
+    ordered = sorted(values)
+    position = pct / 100 * (len(ordered) - 1)
+    low = math.floor(position)
+    below, above = ordered[low], ordered[min(low + 1, len(ordered) - 1)]
+    fraction = position - low
+    if fraction == 0:
+        return below
+    if math.isinf(below) and math.isinf(above):
+        return below if fraction < 0.5 else above
+    if math.isinf(below) or math.isinf(above):
+        return below if math.isinf(below) else above
+    return float(np.percentile(values, pct))
+
+
 def percentile_oracle(query, results, cuts):
     """(HAVING constraint, explanation) per proposal, from per-value bands."""
     matching = set(query.anchor_row_indexes(results))
@@ -66,7 +91,7 @@ def percentile_oracle(query, results, cuts):
     for func, alias in MEASURE.aliases():
         column = results.index_of(alias)
         values = np.array([number(row[column], float("nan")) for row in results.rows])
-        cut_values = np.percentile(values, cuts)
+        cut_values = [percentile_cut(values.tolist(), pct) for pct in cuts]
         bounds = [None, *cut_values, None]
         pcts = [None, *cuts, None]
         for low, high, low_pct, high_pct in zip(bounds, bounds[1:], pcts, pcts[1:]):
@@ -129,9 +154,28 @@ class TestTopKParity:
         assert TopK().propose(query, results) == []
 
 
+class TestInfiniteCells:
+    def test_median_of_infinities_is_the_middle_value(self):
+        # The 50th percentile of [-INF, 5, INF] is 5, not NaN: the band
+        # above it keeps the example's row and drops -INF's.
+        query = cube_query(1, 0, (MEMBERS[1],))
+        rows = [
+            (member, *(Literal(v, datatype=XSD_DOUBLE),) * 4)
+            for member, v in ((MEMBERS[0], "-INF"), (MEMBERS[1], "5"), (MEMBERS[2], "INF"))
+        ]
+        results = result_set(query, rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            refinements = Percentile(cuts=(50,)).propose(query, results)
+        assert refinements
+        for refinement in refinements:
+            constraint = refinement.query.having[-1]
+            assert constraint.op == ">="
+            assert constraint.right.term.numeric_value() == 5.0
+            assert "(2 of 3 tuples)" in refinement.explanation
+
+
 class TestPercentileParity:
-    # np.percentile warns when it interpolates between infinities.
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @settings(max_examples=300, deadline=None)
     @given(columns(), st.sampled_from([(25, 50, 75, 90), (50,), (10, 90), (33, 34)]))
     def test_same_bands_and_explanations(self, case, cuts):
@@ -139,10 +183,9 @@ class TestPercentileParity:
         got = proposed(Percentile(cuts=cuts).propose(query, results))
         assert got == percentile_oracle(query, results, cuts)
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    def test_nan_cuts_are_open_bounds(self):
-        # Interpolating towards INF makes the 75th and 90th cuts NaN; the
-        # bands they bound must stay open, as the per-value test left them.
+    def test_cuts_next_to_infinity_are_infinite(self):
+        # The 75th and 90th cuts of [1, 2, INF] lie between 2 and INF, so
+        # both are INF (numpy's interpolation makes them NaN).
         query = cube_query(1, 0, (MEMBERS[0],))
         rows = [
             (member, *(Literal(v, datatype=XSD_DOUBLE),) * 4)
@@ -152,3 +195,5 @@ class TestPercentileParity:
         expected = percentile_oracle(query, results, (25, 50, 75, 90))
         assert expected
         assert proposed(Percentile().propose(query, results)) == expected
+        assert [percentile_cut([1.0, 2.0, math.inf], pct) for pct in (75, 90)] \
+            == [math.inf, math.inf]

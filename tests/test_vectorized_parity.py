@@ -31,7 +31,8 @@ from hypothesis import strategies as st
 
 from repro.core import ExplorationSession, VirtualSchemaGraph
 from repro.qb import OBSERVATION_CLASS
-from repro.rdf import IRI, Triple, literal_from_python
+from repro.rdf import IRI, BNode, Literal, Triple, literal_from_python
+from repro.rdf.terms import XSD_DATE, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, XSD_STRING
 from repro.sparql import Evaluator, parse_query, vectorized
 from repro.store import Endpoint, Graph
 
@@ -333,6 +334,82 @@ class TestExpansionCap:
             f"SELECT ?a ?b ?c WHERE {{ ?a <{EX}p0> ?b . ?b <{EX}p1> ?c }}")
 
 
+#: One term of every kind a type test tells apart, malformed numerics too.
+KIND_TERMS = [
+    IRI(f"{EX}n0"), IRI(f"{EX}n1"), BNode("b0"), BNode("b1"),
+    Literal("x"), Literal("x", language="en"), Literal("abc", datatype=XSD_STRING),
+    Literal("2020-01-01", datatype=XSD_DATE), literal_from_python(3),
+    Literal("2.5", datatype=XSD_DECIMAL), Literal("1e3", datatype=XSD_DOUBLE),
+    Literal("abc", datatype=XSD_INTEGER),
+]
+
+type_tests = st.sampled_from(["isIRI", "isURI", "isBlank", "isLiteral", "isNumeric"])
+type_test_filters = st.recursive(
+    type_tests.map(lambda name: f"{name}(?o)"),
+    lambda inner: st.one_of(
+        inner.map(lambda e: f"!{e}"),
+        st.lists(inner, min_size=2, max_size=3).map(lambda es: "(" + " && ".join(es) + ")"),
+        st.lists(inner, min_size=2, max_size=3).map(lambda es: "(" + " || ".join(es) + ")"),
+    ),
+    max_leaves=6,
+)
+kind_triples = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 1), st.integers(0, len(KIND_TERMS) - 1)),
+    min_size=1, max_size=20,
+)
+
+
+class TestTypeTestFilters:
+    """Type-test FILTERs over one fully bound column take a kind code per
+    distinct id; every other shape keeps the register-program tiers."""
+
+    SHAPES = [
+        # bound in every row: the kind-code tier
+        f"SELECT ?s ?o WHERE {{ ?s <{EX}p0> ?o . FILTER(%s) }}",
+        # unbound in some rows (OPTIONAL): the register-program tier
+        f"SELECT ?s ?o WHERE {{ ?s <{EX}p0> ?x . OPTIONAL {{ ?s <{EX}p1> ?o }} "
+        f"FILTER(%s) }}",
+    ]
+
+    @staticmethod
+    def graph(encoded, settled):
+        triples = [Triple(IRI(f"{EX}s{s}"), IRI(f"{EX}p{p}"), KIND_TERMS[o])
+                   for s, p, o in encoded]
+        if settled:
+            return Graph(triples=triples)
+        graph = Graph()
+        for triple in triples:
+            graph.add(triple)
+        return graph
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind_triples, type_test_filters, st.sampled_from(SHAPES),
+           st.booleans(), batch_sizes)
+    def test_same_rows_as_the_tuple_engine(self, encoded, constraint, shape,
+                                           settled, batch_size):
+        query = parse_query(shape % constraint)
+        batched, tuple_at_a_time, term_space = engines(
+            self.graph(encoded, settled), batch_size, 1)
+        vec = batched.select(query)
+        assert vec.rows == tuple_at_a_time.select(query).rows
+        assert sorted(map(repr, vec.rows)) == \
+            sorted(map(repr, term_space.select(query).rows))
+
+    def test_bound_column_skips_the_register_program(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("type tests reached the register program")
+
+        encoded = [(s, 0, o) for s in range(4) for o in range(len(KIND_TERMS))]
+        graph = self.graph(encoded, True)
+        constraint = "isLiteral(?o) && !isNumeric(?o) || isBlank(?o)"
+        query = parse_query(self.SHAPES[0] % constraint)
+        expected = Evaluator(graph, compile=True, vectorize=False).select(query).rows
+        monkeypatch.setattr(vectorized, "_program_mask", refuse)
+        rows = Evaluator(graph, compile=True, vectorize=True).select(query).rows
+        assert rows == expected
+        assert len(rows) == 4 * 6
+
+
 class TestBulkLoadStaysBatched:
     """A graph loaded in bulk is queried from sorted runs: with its load
     left in the delta buffer, every batched join step would silently run
@@ -343,10 +420,9 @@ class TestBulkLoadStaysBatched:
         graph = Graph.from_ntriples(io.StringIO(text))
         assert graph.triple_index.pure_run(0) is not None
         endpoint = Endpoint(graph)
-        vgraph = VirtualSchemaGraph.bootstrap(endpoint, OBSERVATION_CLASS)
-        # The bootstrap's variable-predicate probes and property paths
-        # have no batched operator; the exploration steps all do.
+        # The bootstrap and every exploration step run batched throughout.
         before = endpoint.stats.snapshot()
+        vgraph = VirtualSchemaGraph.bootstrap(endpoint, OBSERVATION_CLASS)
         session = ExplorationSession(endpoint, vgraph)
         session.synthesize("Germany", "2014")
         session.choose(0)

@@ -1,12 +1,17 @@
 """Tests for virtual schema graph construction and traversal (Section 5.2)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import BootstrapError
 from repro.core import VirtualSchemaGraph, VLevel, path_variable
+from repro.datasets import generate_dbpedia, generate_eurostat, generate_production
 from repro.qb import OBSERVATION_CLASS
+from repro.qb.vocabulary import LABEL, TYPE
 from repro.rdf import IRI, Literal, Triple, Variable, literal_from_python
 from repro.store import Endpoint, Graph
+
+from tests.chain_crawler import chain_bootstrap, chain_refreshed
 
 MINI = "http://example.org/mini/"
 
@@ -168,3 +173,113 @@ class TestVLevel:
         assert level.terminal_predicate == prop("b")
         assert level.depth == 2
         assert not level.is_base
+
+
+def schema_fields(vgraph):
+    """Every field of a graph, for equality (levels compare as VLevels)."""
+    return (vgraph.observation_class, vgraph.levels, vgraph.measures,
+            vgraph.observation_count, vgraph.observation_attributes)
+
+
+CUBE = "http://example.org/cube/"
+NODE_COUNT = 6
+
+
+def node(i):
+    return IRI(f"{CUBE}node/{i}")
+
+
+#: An edge object: a node (by index), or a literal — mixing both under one
+#: predicate gives a roll-up whose child level holds literals too.
+edge_objects = st.one_of(
+    st.integers(0, NODE_COUNT - 1),
+    st.sampled_from([literal_from_python(7), Literal("seven"), Literal("7", language="en")]),
+)
+
+
+@st.composite
+def small_cubes(draw):
+    """A graph of observations over a random member graph.
+
+    Random edges over few nodes give M-to-N steps, cycles, levels reached by
+    two paths and predicates reused at several depths.
+    """
+    n_obs = draw(st.integers(1, 5))
+    triples = []
+    for o in range(n_obs):
+        obs = IRI(f"{CUBE}obs/{o}")
+        triples.append(Triple(obs, TYPE, OBSERVATION_CLASS))
+        triples.append(Triple(obs, IRI(CUBE + "measure"), literal_from_python(o * 3)))
+        for d in draw(st.lists(st.integers(0, 2), max_size=3)):
+            target = draw(edge_objects)
+            target = node(target) if isinstance(target, int) else target
+            triples.append(Triple(obs, IRI(f"{CUBE}dim{d}"), target))
+    for s_idx, p_idx, target in draw(st.lists(
+            st.tuples(st.integers(0, NODE_COUNT - 1), st.integers(0, 3), edge_objects),
+            max_size=14)):
+        target = node(target) if isinstance(target, int) else target
+        triples.append(Triple(node(s_idx), IRI(f"{CUBE}up{p_idx}"), target))
+    for p_idx in draw(st.lists(st.integers(0, 3), max_size=2)):
+        triples.append(Triple(IRI(f"{CUBE}up{p_idx}"), LABEL, Literal(f"Up {p_idx}")))
+    excluded = frozenset({TYPE} | set(draw(st.sampled_from(
+        [(), (IRI(CUBE + "up3"),), (IRI(CUBE + "dim2"), IRI(CUBE + "up0"))]))))
+    return triples, excluded, draw(st.integers(1, 4)), draw(st.booleans())
+
+
+class TestChainOracle:
+    """The member-set crawl returns what the path-chain crawl returned."""
+
+    @pytest.mark.parametrize("generate", [
+        lambda: generate_eurostat(n_observations=400, scale=0.2, seed=3),
+        lambda: generate_dbpedia(n_observations=300, scale=0.03, seed=3),
+        lambda: generate_production(n_observations=300, scale=0.3, seed=3),
+    ], ids=["eurostat", "dbpedia", "production"])
+    def test_generated_shapes(self, generate):
+        endpoint = generate().endpoint()
+        assert schema_fields(VirtualSchemaGraph.bootstrap(endpoint, OBSERVATION_CLASS)) \
+            == schema_fields(chain_bootstrap(endpoint, OBSERVATION_CLASS))
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_cubes())
+    def test_small_cubes(self, cube):
+        triples, excluded, max_depth, settled = cube
+        if settled:
+            graph = Graph(triples=triples)
+        else:
+            graph = Graph()
+            for triple in triples:
+                graph.add(triple)
+        endpoint = Endpoint(graph)
+        args = (endpoint, OBSERVATION_CLASS, excluded, max_depth)
+        try:
+            expected = schema_fields(chain_bootstrap(*args))
+        except BootstrapError as exc:
+            with pytest.raises(BootstrapError, match=str(exc)):
+                VirtualSchemaGraph.bootstrap(*args)
+            return
+        assert schema_fields(VirtualSchemaGraph.bootstrap(*args)) == expected
+
+    def test_one_select_per_level(self):
+        endpoint = generate_eurostat(n_observations=400, scale=0.2, seed=3).endpoint()
+        vgraph = VirtualSchemaGraph.bootstrap(endpoint, OBSERVATION_CLASS)
+        labelled = {p for path in vgraph.levels for p in path} | set(vgraph.measures)
+        # count + dimension scan + measure scan + attribute scan, one query
+        # per level, one label lookup per predicate.
+        assert endpoint.stats.select_queries == 4 + vgraph.n_levels + len(labelled)
+
+    @pytest.mark.parametrize("sample_size", [3, 5])
+    def test_refreshed_after_appends_equals_fresh_bootstrap(self, sample_size):
+        kg = generate_eurostat(n_observations=40, scale=0.4, seed=5)
+        endpoint = kg.endpoint()
+        vgraph = VirtualSchemaGraph.bootstrap(endpoint, OBSERVATION_CLASS,
+                                              sample_size=sample_size)
+        grown = generate_eurostat(n_observations=700, scale=0.4, seed=5)
+        kg.graph.add_all(grown.graph)
+        refreshed = vgraph.refreshed(endpoint)
+        assert refreshed.observation_count > vgraph.observation_count
+        assert refreshed.n_members > vgraph.n_members  # new members were reached
+        assert schema_fields(refreshed) == schema_fields(VirtualSchemaGraph.bootstrap(
+            endpoint, OBSERVATION_CLASS, sample_size=sample_size))
+        counts = {path: level.member_count for path, level in refreshed.levels.items()}
+        assert counts == {path: level.member_count for path, level
+                          in chain_refreshed(vgraph, endpoint).levels.items()}
