@@ -19,8 +19,8 @@ RESULTS_DIR = Path(__file__).parent / "results"
 def env_metadata() -> dict:
     """The execution environment facts a perf number is meaningless without.
 
-    Recorded into every ``emit_json`` payload: cpu count (morsel scaling
-    depends on it), numpy version (the array backend), and
+    Recorded into every ``emit_json`` payload: cpu count (serving-worker
+    throughput depends on it), numpy version (the array backend), and
     PYTHONHASHSEED (hash randomization perturbs dict-heavy paths).
     """
     import numpy

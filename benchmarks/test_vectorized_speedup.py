@@ -15,10 +15,6 @@ measured gap is pure execution discipline:
   FILTER over the value — the decorated-query shape, where batched
   probes and the vectorized comparison dominate.
 
-A separate test measures morsel-driven scan parallelism (parallel=0 →
-one worker per CPU) and only runs where it can mean anything: hosts
-with at least 4 cores.
-
 Result equivalence and a conservative wall-clock floor are hard
 assertions; the >= 3x acceptance target is advisory (a warning) because
 best-of-N ratios are noisy under shared-CI contention.  Sizes and bars
@@ -34,8 +30,6 @@ import os
 import time
 import warnings
 
-import pytest
-
 from repro.rdf.terms import IRI, Literal, XSD_INTEGER
 from repro.rdf.triple import Triple
 from repro.sparql import Evaluator, parse_query
@@ -50,10 +44,6 @@ MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_VEC_MIN_SPEEDUP", "3.0"))
 #: Hard floor — low enough that only a real regression (not runner
 #: contention) can dip under it.
 HARD_MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_VEC_HARD_MIN_SPEEDUP", "1.5"))
-#: Morsel-parallel scan scaling targets (advisory / hard), measured only
-#: on hosts with >= 4 cores.
-MIN_SCALING = float(os.environ.get("REPRO_BENCH_VEC_MIN_SCALING", "2.0"))
-HARD_MIN_SCALING = float(os.environ.get("REPRO_BENCH_VEC_HARD_MIN_SCALING", "1.3"))
 
 _EX = "http://example.org/cube/"
 _REGION = IRI(_EX + "region")
@@ -63,7 +53,7 @@ _VALUE = IRI(_EX + "value")
 
 def _dense_cube(n_observations: int) -> Graph:
     """A star cube with every observation carrying a measure, flushed so
-    the columnar runs are pure and the morsel driver engages.
+    the columnar runs are pure and the driving scan engages.
     Deterministic modular mixing, no RNG.
     """
     graph = Graph()
@@ -214,64 +204,3 @@ def test_vectorized_speedup(benchmark):
                 f"machine",
                 stacklevel=2,
             )
-
-
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 4,
-    reason="morsel scaling needs >= 4 cores to mean anything",
-)
-def test_morsel_scaling(benchmark):
-    graph = _dense_cube(N_OBSERVATIONS)
-    drilldown = parse_query(DRILLDOWN_QUERY)
-
-    serial, serial_time = _best_time(
-        lambda: Evaluator(graph, compile=True, vectorize=True, parallel=1),
-        drilldown, N_REPETITIONS,
-    )
-    parallel, parallel_time = _best_time(
-        lambda: Evaluator(graph, compile=True, vectorize=True, parallel=0),
-        drilldown, N_REPETITIONS,
-    )
-    benchmark.pedantic(
-        Evaluator(graph, compile=True, vectorize=True, parallel=0).select,
-        args=(drilldown,), rounds=1, iterations=1,
-    )
-
-    assert parallel == serial  # morsel merge must preserve row order
-
-    scaling = serial_time / parallel_time
-    emit(
-        "morsel_scaling",
-        f"Morsel-driven scan parallelism ({N_OBSERVATIONS} observations, "
-        f"{os.cpu_count()} cores)",
-        format_table(
-            ["workers", "best time", "scaling"],
-            [
-                ["1", fmt_ms(serial_time), "1.0x"],
-                [str(os.cpu_count()), fmt_ms(parallel_time), f"{scaling:.1f}x"],
-            ],
-        ),
-    )
-    emit_json(
-        "morsel_scaling",
-        {
-            "benchmark": "morsel_scaling",
-            "observations": N_OBSERVATIONS,
-            "serial_best_s": serial_time,
-            "parallel_best_s": parallel_time,
-            "scaling": scaling,
-            "advisory_target": MIN_SCALING,
-            "hard_floor": HARD_MIN_SCALING,
-        },
-    )
-
-    assert scaling >= HARD_MIN_SCALING, (
-        f"morsel scan only {scaling:.2f}x faster with "
-        f"{os.cpu_count()} workers (hard floor: {HARD_MIN_SCALING}x)"
-    )
-    if scaling < MIN_SCALING:
-        warnings.warn(
-            f"morsel scaling {scaling:.2f}x, under the {MIN_SCALING}x "
-            f"target — likely CI runner contention",
-            stacklevel=2,
-        )

@@ -83,7 +83,6 @@ def build_endpoint(args: argparse.Namespace) -> tuple[Endpoint, IRI]:
         compile=compile_queries,
         vectorize=not getattr(args, "no_vectorize", False),
         batch_size=getattr(args, "batch_size", None),
-        parallel=getattr(args, "parallel", None),
     )
     if getattr(args, "data_dir", None):
         # Durable boot: recover snapshot + WAL tail; a brand-new directory
@@ -313,8 +312,6 @@ class ExplorerShell:
             f"  queries         {stats.total_queries} "
             f"(select {stats.select_queries}, ask {stats.ask_queries}, "
             f"construct {stats.construct_queries})",
-            f"  batched asks    {stats.batch_asks} "
-            f"(shared join steps {stats.batch_shared_steps})",
             f"  aggregates      fused {stats.fused_aggregates}, "
             f"fallback {stats.fallback_aggregates} "
             f"({stats.groups_formed} groups from {stats.aggregate_rows} rows)",
@@ -467,10 +464,6 @@ def _add_common_args(parser: argparse.ArgumentParser,
                         default=default(None), metavar="ROWS",
                         help="rows per execution batch for vectorized plans "
                              "(default 65536)")
-    parser.add_argument("--parallel", type=_nonnegative_int,
-                        default=default(None), metavar="N",
-                        help="morsel-driven scan workers for vectorized "
-                             "plans; 0 means one per CPU (default 1)")
     parser.add_argument("--retries", type=_nonnegative_int, default=default(0),
                         help="retry budget for transient endpoint faults "
                              "(exponential backoff; 0 disables retries)")

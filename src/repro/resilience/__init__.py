@@ -19,10 +19,8 @@ transient faults are routine, not exceptional.  This subsystem supplies:
 * :mod:`repro.resilience.endpoint` — :class:`EndpointDecorator`, the one
   copy of the endpoint surface both decorators share;
   :class:`ResilientEndpoint`, the decorator threading retry + breaker
-  (+ optional serve-stale answers) under any endpoint consumer,
-  :func:`with_resilience`, which applies the
-  CLI's resilience flags, and :func:`try_ask_batch`, the partial-verdict
-  batch probe graceful degradation is built on.
+  (+ optional serve-stale answers) under any endpoint consumer, and
+  :func:`with_resilience`, which applies the CLI's resilience flags.
 """
 
 from .breaker import (
@@ -38,7 +36,6 @@ from .endpoint import (
     EndpointDecorator,
     ResilienceStats,
     ResilientEndpoint,
-    try_ask_batch,
     with_resilience,
 )
 from .faults import FAULT_KINDS, OK, Fault, FaultEvent, FaultInjector, FaultPlan
@@ -64,6 +61,5 @@ __all__ = [
     "ResilienceStats",
     "ResilientEndpoint",
     "RetryPolicy",
-    "try_ask_batch",
     "with_resilience",
 ]

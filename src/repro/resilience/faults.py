@@ -51,7 +51,7 @@ class FaultEvent:
     """One line of the injector's event log."""
 
     index: int  # global call index across the injector's lifetime
-    op: str  # "select" | "ask" | "ask_batch" | "construct" | "keyword"
+    op: str  # "select" | "ask" | "construct" | "query" | "keyword"
     kind: str  # the fault kind applied ("ok" for clean calls)
     latency: float = 0.0
 
@@ -148,8 +148,7 @@ class FaultInjector(EndpointDecorator):
     :class:`ResilientEndpoint`, the serving layer — can run against it
     unchanged.  Every call first asks the plan for a decision, appends a
     :class:`FaultEvent`, and then raises / delays / passes through
-    accordingly (one decision per ``ask_batch``: a real endpoint drops the
-    one round-trip, not individual candidates inside it):
+    accordingly:
 
     * ``timeout`` → :class:`~repro.errors.QueryTimeoutError`
     * ``transient`` → :class:`~repro.errors.EndpointUnavailableError`

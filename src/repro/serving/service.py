@@ -276,7 +276,7 @@ class QueryService:
     def stats(self) -> ServingStats:
         """Serving figures over the endpoint's counters: ``requests`` is
         every SELECT/ASK/CONSTRUCT and keyword lookup the store answered
-        (cache hits included, one per query of a batch)."""
+        (cache hits included)."""
         endpoint = self._endpoint.stats.snapshot()
         with self._sessions_lock:
             open_sessions = len(self._sessions)

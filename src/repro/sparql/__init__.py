@@ -40,7 +40,6 @@ from .ast import (
     ValuesClause,
 )
 from .aggregator import AggregatePlan, compile_aggregate, compile_aggregate_ex
-from .batch import BatchStats, ask_bgp_batch, order_batch, simple_bgp
 from .builder import SelectBuilder, agg, path, var
 from .eval import Evaluator, evaluate_query
 from .operators import WherePlan, compile_where
@@ -58,10 +57,6 @@ __all__ = [
     "AggregatePlan",
     "compile_aggregate",
     "compile_aggregate_ex",
-    "BatchStats",
-    "ask_bgp_batch",
-    "order_batch",
-    "simple_bgp",
     "explain",
     "QueryPlan",
     "PlanStep",

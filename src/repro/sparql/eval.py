@@ -100,7 +100,7 @@ class Evaluator:
 
     def __init__(self, graph, optimize: bool = True, compile: bool = True,
                  plan_cache=None, stats=None, vectorize: bool = True,
-                 batch_size: int | None = None, parallel: int | None = None):
+                 batch_size: int | None = None):
         self.graph = graph
         self.optimize = optimize
         self.compile = compile
@@ -110,14 +110,12 @@ class Evaluator:
         # tuple) and tallies why a shape fell back.
         self.stats = stats
         # Batched execution of compiled plans (repro.sparql.vectorized):
-        # block-at-a-time operators over columnar batches, with optional
-        # morsel parallelism.  vectorize=False pins the tuple-at-a-time
-        # operator loop — the differential oracle.
+        # block-at-a-time operators over columnar batches.  vectorize=False
+        # pins the tuple-at-a-time operator loop — the differential oracle.
         if vectorize:
             from .vectorized import VecConfig
 
-            self.vec_config = VecConfig(batch_size=batch_size,
-                                        parallel=parallel, stats=stats)
+            self.vec_config = VecConfig(batch_size=batch_size, stats=stats)
         else:
             self.vec_config = None
 

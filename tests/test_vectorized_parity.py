@@ -5,16 +5,19 @@ operator's semantics over integer-array batches, with per-row fallback
 for the shapes it does not vectorize.  These properties pin the whole
 surface to the two reference engines over random cubes:
 
-* random store states: fully flushed runs (morsel driver engages),
+* random store states: fully flushed runs (the driving scan engages),
   delta overlays on top of flushed runs (driver declines, per-row
   fallback engages), and never-flushed buffers;
 * adversarial batch geometry: 1-row batches exercise every
-  batch-boundary path, and parallel=2 exercises the morsel merge;
+  batch-boundary path;
 * the operator zoo: OPTIONAL (with inner filters), UNION, VALUES,
   property paths, repeated variables, numeric FILTERs both ways,
   grouped aggregates, and the formerly-declining shapes — BIND
   (including error rows), EXISTS/NOT EXISTS, MINUS, and nested
-  subqueries (plain and aggregate).
+  subqueries (plain, DISTINCT and aggregate).
+
+Besides the Hypothesis draws, every query runs once over a fixed cube in
+each store state, so no shape depends on the draw to be reached.
 
 Row order is part of the contract *within* the compiled engine (LIMIT
 without ORDER BY slices positionally), so batched and tuple results
@@ -26,6 +29,7 @@ cross-engine comparison is a multiset.
 
 import io
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -50,11 +54,10 @@ graph_triples = st.lists(
 overlay_triples = st.lists(
     st.tuples(subject_ids, predicate_ids, object_ids), max_size=6
 )
-#: "flushed" → pure runs (morsel driver engages); "overlay" → runs plus a
+#: "flushed" → pure runs (driving scan engages); "overlay" → runs plus a
 #: delta buffer (driver declines); "buffered" → nothing flushed at all.
 store_states = st.sampled_from(["flushed", "overlay", "buffered"])
 batch_sizes = st.sampled_from([1, 3, 64])
-parallelism = st.sampled_from([1, 2])
 
 QUERIES = [
     # join + numeric filters, both orientations
@@ -97,11 +100,22 @@ QUERIES = [
     # EXISTS whose inner filter errors on IRIs: never matches
     f"SELECT ?a WHERE {{ ?a <{EX}p0> ?b . "
     f"FILTER EXISTS {{ ?b <{EX}p1> ?c . FILTER(?c > 0) }} }}",
+    # EXISTS / NOT EXISTS correlated on both outer variables
+    f"SELECT ?a ?b WHERE {{ ?a <{EX}p0> ?b . "
+    f"FILTER EXISTS {{ ?b <{EX}p1> ?a }} }}",
+    f"SELECT ?a ?b WHERE {{ ?a <{EX}p0> ?b . "
+    f"FILTER NOT EXISTS {{ ?a <{EX}p1> ?b }} }}",
     # MINUS on a shared variable, and MINUS with nothing shared
     f"SELECT ?a ?b WHERE {{ ?a <{EX}p0> ?b . MINUS {{ ?a <{EX}p1> ?c }} }}",
     f"SELECT ?a ?b WHERE {{ ?a <{EX}p0> ?b . MINUS {{ ?x <{EX}p1> ?y }} }}",
-    # nested subqueries: plain join and aggregate (runtime-minted counts)
+    # MINUS sharing both variables, one of them bound only on the right
+    f"SELECT ?a ?b WHERE {{ ?a <{EX}p0> ?b . "
+    f"MINUS {{ ?a <{EX}p1> ?b . ?b <{EX}p2> ?c }} }}",
+    # nested subqueries: plain join, DISTINCT, and aggregate (runtime-minted
+    # counts)
     f"SELECT ?a ?b WHERE {{ {{ SELECT ?a WHERE {{ ?a <{EX}p1> ?y }} }} "
+    f"?a <{EX}p0> ?b }}",
+    f"SELECT ?a ?b WHERE {{ {{ SELECT DISTINCT ?a WHERE {{ ?a <{EX}p1> ?y }} }} "
     f"?a <{EX}p0> ?b }}",
     f"SELECT ?a ?n WHERE {{ {{ SELECT ?a (COUNT(*) AS ?n) WHERE "
     f"{{ ?a <{EX}p0> ?x }} GROUP BY ?a }} ?a <{EX}value> ?v }}",
@@ -164,44 +178,56 @@ def build_graph(encoded, overlay, state):
     return graph
 
 
-def engines(graph, batch_size, parallel):
+def engines(graph, batch_size):
     """(batched, tuple-at-a-time, term-space) evaluators over ``graph``."""
     return (
-        Evaluator(graph, compile=True, vectorize=True,
-                  batch_size=batch_size, parallel=parallel),
+        Evaluator(graph, compile=True, vectorize=True, batch_size=batch_size),
         Evaluator(graph, compile=True, vectorize=False),
         Evaluator(graph, compile=False),
     )
 
 
+def assert_select_parity(graph, query, batch_size):
+    batched, tuple_at_a_time, term_space = engines(graph, batch_size)
+    vec = batched.select(query)
+    tup = tuple_at_a_time.select(query)
+    ref = term_space.select(query)
+    assert vec.variables == tup.variables == ref.variables
+    # Same physical plan → identical row order.
+    assert vec.rows == tup.rows
+    # Different engine → same solutions, order implementation-defined.
+    assert sorted(map(repr, vec.rows)) == sorted(map(repr, ref.rows))
+
+
+#: A cube on which each satisfiable EXISTS / NOT EXISTS and each
+#: shared-variable MINUS keeps some rows and drops others, and the
+#: DISTINCT subquery sees a duplicate.
+FIXED_CUBE = [(0, 0, 1), (0, 1, 1), (0, 1, 2), (1, 0, 2), (1, 1, 0),
+              (1, 2, 3), (2, 0, 3), (2, 1, 2), (3, 0, 3), (3, 2, 4),
+              (2, 2, 1), (4, 1, 5)]
+
+
 class TestVectorizedParity:
     @settings(max_examples=40, deadline=None)
     @given(graph_triples, overlay_triples, store_states,
-           st.sampled_from(range(len(QUERIES))), batch_sizes, parallelism)
-    def test_select_parity(self, encoded, overlay, state, qidx,
-                           batch_size, parallel):
+           st.sampled_from(range(len(QUERIES))), batch_sizes)
+    def test_select_parity(self, encoded, overlay, state, qidx, batch_size):
         graph = build_graph(encoded, overlay, state)
-        query = parse_query(QUERIES[qidx])
-        batched, tuple_at_a_time, term_space = engines(
-            graph, batch_size, parallel)
-        vec = batched.select(query)
-        tup = tuple_at_a_time.select(query)
-        ref = term_space.select(query)
-        assert vec.variables == tup.variables == ref.variables
-        # Same physical plan → identical row order.
-        assert vec.rows == tup.rows
-        # Different engine → same solutions, order implementation-defined.
-        assert sorted(map(repr, vec.rows)) == sorted(map(repr, ref.rows))
+        assert_select_parity(graph, parse_query(QUERIES[qidx]), batch_size)
+
+    @pytest.mark.parametrize("state", ["flushed", "overlay", "buffered"])
+    @pytest.mark.parametrize("qidx", range(len(QUERIES)))
+    def test_select_parity_on_fixed_cube(self, qidx, state):
+        graph = build_graph(FIXED_CUBE, [(5, 0, 4)], state)
+        assert_select_parity(graph, parse_query(QUERIES[qidx]), 2)
 
     @settings(max_examples=30, deadline=None)
     @given(graph_triples, overlay_triples, store_states,
-           st.sampled_from(range(len(AGG_QUERIES))), batch_sizes, parallelism)
-    def test_aggregate_parity(self, encoded, overlay, state, qidx,
-                              batch_size, parallel):
+           st.sampled_from(range(len(AGG_QUERIES))), batch_sizes)
+    def test_aggregate_parity(self, encoded, overlay, state, qidx, batch_size):
         graph = build_graph(encoded, overlay, state)
         query = parse_query(AGG_QUERIES[qidx])
-        batched, tuple_at_a_time, term_space = engines(
-            graph, batch_size, parallel)
+        batched, tuple_at_a_time, term_space = engines(graph, batch_size)
         vec = batched.select(query)
         tup = tuple_at_a_time.select(query)
         ref = term_space.select(query)
@@ -214,7 +240,7 @@ class TestVectorizedParity:
     def test_ask_and_construct_parity(self, encoded, overlay, state,
                                       batch_size):
         graph = build_graph(encoded, overlay, state)
-        batched, tuple_at_a_time, term_space = engines(graph, batch_size, 1)
+        batched, tuple_at_a_time, term_space = engines(graph, batch_size)
         ask = f"ASK {{ ?a <{EX}p0> ?b . ?b <{EX}p1> ?c }}"
         assert batched.ask(ask) == tuple_at_a_time.ask(ask) == term_space.ask(ask)
         construct = (
@@ -251,7 +277,7 @@ class TestPseudoIdAliasing:
 
     def assert_parity(self, graph, query_text):
         query = parse_query(query_text)
-        batched, tuple_at_a_time, term_space = engines(graph, 64, 1)
+        batched, tuple_at_a_time, term_space = engines(graph, 64)
         vec = batched.select(query)
         tup = tuple_at_a_time.select(query)
         ref = term_space.select(query)
@@ -320,7 +346,7 @@ class TestExpansionCap:
     def assert_parity(self, query_text):
         graph = self.fanout_graph()
         query = parse_query(query_text)
-        batched, tuple_at_a_time, _ref = engines(graph, 64, 1)
+        batched, tuple_at_a_time, _ref = engines(graph, 64)
         assert batched.select(query).rows == tuple_at_a_time.select(query).rows
 
     def test_cross_product_step_capped(self, monkeypatch):
@@ -389,7 +415,7 @@ class TestTypeTestFilters:
                                            settled, batch_size):
         query = parse_query(shape % constraint)
         batched, tuple_at_a_time, term_space = engines(
-            self.graph(encoded, settled), batch_size, 1)
+            self.graph(encoded, settled), batch_size)
         vec = batched.select(query)
         assert vec.rows == tuple_at_a_time.select(query).rows
         assert sorted(map(repr, vec.rows)) == \
