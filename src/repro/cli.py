@@ -78,12 +78,6 @@ def build_endpoint(args: argparse.Namespace) -> tuple[Endpoint, IRI]:
     """
     cache = QueryCache(max_results=args.cache_size) if getattr(
         args, "cache_size", 0) > 0 else None
-    compile_queries = not getattr(args, "no_compile", False)
-    exec_kwargs = dict(
-        compile=compile_queries,
-        vectorize=not getattr(args, "no_vectorize", False),
-        batch_size=getattr(args, "batch_size", None),
-    )
     if getattr(args, "data_dir", None):
         # Durable boot: recover snapshot + WAL tail; a brand-new directory
         # is seeded from the configured source and checkpointed once, so
@@ -99,24 +93,23 @@ def build_endpoint(args: argparse.Namespace) -> tuple[Endpoint, IRI]:
                                    scale=args.scale, seed=args.seed).graph
             graph.add_all(iter(source))
             graph.checkpoint()
-        endpoint = Endpoint(graph, cache=cache, **exec_kwargs)
+        endpoint = Endpoint(graph, cache=cache)
         return endpoint, IRI(args.observation_class)
     if getattr(args, "snapshot", None):
         # O(file open) bootstrap: the columns are mmap'd, terms decode
         # lazily, and several processes given the same file share pages.
         graph = Graph.load_snapshot(args.snapshot)
-        endpoint = Endpoint(graph, cache=cache, **exec_kwargs)
+        endpoint = Endpoint(graph, cache=cache)
         return endpoint, IRI(args.observation_class)
     if args.ntriples:
         with open(args.ntriples, encoding="utf-8") as handle:
             graph = Graph.from_ntriples(handle)
-        endpoint = Endpoint(graph, cache=cache, **exec_kwargs)
+        endpoint = Endpoint(graph, cache=cache)
         observation_class = IRI(args.observation_class)
     else:
         generator = _GENERATORS[args.dataset]
         kg = generator(n_observations=args.observations, scale=args.scale, seed=args.seed)
-        endpoint = kg.endpoint(**exec_kwargs)
-        endpoint.cache = cache
+        endpoint = kg.endpoint(cache=cache)
         observation_class = OBSERVATION_CLASS
     chaos_seed = getattr(args, "chaos_seed", None)
     if chaos_seed is not None:
@@ -452,18 +445,6 @@ def _add_common_args(parser: argparse.ArgumentParser,
     parser.add_argument("--cache-size", type=_nonnegative_int,
                         default=default(4096),
                         help="query result cache entries; 0 disables caching")
-    parser.add_argument("--no-compile", action="store_true",
-                        default=default(False),
-                        help="disable compiled id-space BGP execution "
-                             "(fall back to the term-space interpreter)")
-    parser.add_argument("--no-vectorize", action="store_true",
-                        default=default(False),
-                        help="disable batched execution of compiled plans "
-                             "(fall back to tuple-at-a-time operators)")
-    parser.add_argument("--batch-size", type=_positive_int,
-                        default=default(None), metavar="ROWS",
-                        help="rows per execution batch for vectorized plans "
-                             "(default 65536)")
     parser.add_argument("--retries", type=_nonnegative_int, default=default(0),
                         help="retry budget for transient endpoint faults "
                              "(exponential backoff; 0 disables retries)")

@@ -196,11 +196,22 @@ class OLAPQuery:
         """A copy with one more grouping dimension (drill-down)."""
         if level.variable() in set(self.group_variables):
             raise ValueError(f"query already groups by {level.label}")
-        return replace(
-            self,
-            dimensions=self.dimensions + (QueryDimension(level),),
+        return self.regrouped(
+            self.dimensions + (QueryDimension(level),),
             description=description if description is not None else self.description,
         )
+
+    def regrouped(self, dimensions: tuple[QueryDimension, ...], **changes) -> "OLAPQuery":
+        """A copy grouped by ``dimensions``, without HAVING thresholds.
+
+        Top-K and Percentile thresholds are cut-offs over the aggregates of
+        the current groups.  Drill-down and roll-up change those
+        aggregates, so an old cut-off would keep some arbitrary share of
+        the new groups, often none.  Slicing is not a regrouping: each
+        remaining group is one old group pinned to the sliced member, with
+        the same aggregates, so :meth:`with_slice` keeps the thresholds.
+        """
+        return replace(self, dimensions=dimensions, having=(), **changes)
 
     def with_having(self, constraints: tuple[Expression, ...], description: str) -> "OLAPQuery":
         """A copy with extra HAVING thresholds (subset refinements)."""

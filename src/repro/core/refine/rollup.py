@@ -67,13 +67,7 @@ class Rollup(RefinementMethod):
         anchors = self._reanchored(query, old_level, coarser)
         if anchors is None:
             return None
-        import dataclasses
-
-        refined = dataclasses.replace(
-            query,
-            dimensions=tuple(dimensions),
-            anchors=anchors,
-        )
+        refined = query.regrouped(tuple(dimensions), anchors=anchors)
         from ..describe import describe_query
 
         return refined.described(

@@ -5,7 +5,7 @@ subsystem is the scaling substrate the ROADMAP's production north star
 builds on.  It layers three pieces over the in-process store:
 
 * :mod:`repro.serving.cache` — a thread-safe multi-tier LRU+TTL cache
-  (parsed ASTs, query results, keyword resolutions, compiled plans)
+  (parsed ASTs, query results, keyword resolutions)
   invalidated by the graph epoch counter;
 * :mod:`repro.serving.executor` — the one worker pool: per-tenant bounded
   lanes with token-bucket quotas drained round-robin, and per-request

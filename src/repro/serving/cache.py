@@ -8,23 +8,15 @@ the same dataset.  The cache exploits that repetition at three tiers:
 * **ASTs** — parsed query objects keyed by query text, so a hot query
   string is tokenized and parsed once;
 * **results** — SELECT/ASK/CONSTRUCT outcomes keyed by
-  ``(query text, graph epoch, timeout class)``;
+  ``(query text, graph uid + epoch, timeout class)``;
 * **keywords** — full-text keyword resolutions keyed by
-  ``(keyword, exact, graph epoch)``;
-* **plans** — compiled physical plans for the unified operator pipeline
-  (:mod:`repro.sparql.operators`) keyed by
-  ``("where", where, flags, graph uid, epoch)``, plus fused aggregation
-  plans (:mod:`repro.sparql.aggregator`) keyed by
-  ``("aggregate", query, flags, graph uid, epoch)`` — each entry a
-  ``(plan, decline_reason)`` pair, so non-qualifying shapes cache their
-  *decline* and skip re-analysis too (the evaluator reads this tier
-  directly through :attr:`Evaluator.plan_cache`).
+  ``(keyword, exact, graph uid + epoch)``.
 
 Correctness hinges on the graph **epoch** (:attr:`repro.store.Graph.epoch`):
-every mutation bumps it, the epoch is part of every result/keyword/plan
-key, so stale entries can never be served.  They do not linger either:
-the first entry stored for a newer epoch of a graph drops that graph's
-older entries, and a late put for a superseded epoch is ignored.
+every mutation bumps it, the epoch is part of every result/keyword key, so
+stale entries can never be served.  They do not linger either: the first
+entry stored for a newer epoch of a graph drops that graph's older
+entries, and a late put for a superseded epoch is ignored.
 Each tier is an :class:`LRUCache`: an ``OrderedDict`` under a lock with
 optional TTL expiry, a size cap, and hit/miss/eviction statistics.
 """
@@ -204,10 +196,10 @@ class QueryCache:
     """The endpoint-facing facade bundling the three tiers.
 
     Inject one into :class:`repro.store.Endpoint` (the ``cache=`` argument)
-    or let :class:`repro.serving.QueryService` construct one.  A single
-    instance may back several endpoints over the same graph; endpoints over
-    *different* graphs must not share one (keys include the epoch but not
-    the graph identity).
+    or let :class:`repro.serving.QueryService` construct one.  One instance
+    may back several endpoints, over one graph or several: result and
+    keyword keys carry the graph's uid as well as its epoch, so entries of
+    different graphs never answer for each other.
     """
 
     def __init__(
@@ -215,7 +207,6 @@ class QueryCache:
         max_asts: int = 512,
         max_results: int = 4096,
         max_keywords: int = 1024,
-        max_plans: int = 512,
         ttl: float | None = None,
         clock: Callable[[], float] = time.monotonic,
     ):
@@ -224,10 +215,6 @@ class QueryCache:
                                 version=lambda key: key[1])
         self.keywords = LRUCache(max_keywords, ttl=ttl, clock=clock,
                                  version=lambda key: key[2])
-        # Plans are invalidated by their epoch component like results, but
-        # never by TTL: a plan is pure compilation state, not data.
-        self.plans = LRUCache(max_plans, ttl=None, clock=clock,
-                              version=lambda key: key[3:])
 
     # -- tier accessors ----------------------------------------------------
 
@@ -265,7 +252,6 @@ class QueryCache:
         self.asts.clear()
         self.results.clear()
         self.keywords.clear()
-        self.plans.clear()
 
     @property
     def stats(self) -> dict[str, CacheStats]:
@@ -273,16 +259,14 @@ class QueryCache:
             "asts": self.asts.stats,
             "results": self.results.stats,
             "keywords": self.keywords.stats,
-            "plans": self.plans.stats,
         }
 
     @property
     def hit_rate(self) -> float:
         """Aggregate hit rate across the result and keyword tiers.
 
-        The AST and plan tiers are excluded: those hits still evaluate the
-        query, so counting them would overstate how much work the cache is
-        saving.
+        The AST tier is excluded: its hits still evaluate the query, so
+        counting them would overstate how much work the cache is saving.
         """
         tiers = (self.results.stats, self.keywords.stats)
         lookups = sum(t.lookups for t in tiers)

@@ -43,7 +43,7 @@ from .aggregator import AggregatePlan, compile_aggregate, compile_aggregate_ex
 from .builder import SelectBuilder, agg, path, var
 from .eval import Evaluator, evaluate_query
 from .operators import WherePlan, compile_where
-from .explain import PlanStep, QueryPlan, explain
+from .explain import QueryPlan, explain
 from .expressions import ExpressionError, effective_boolean_value, evaluate
 from .parser import parse_query
 from .results import SERIALIZERS, ResultSet, to_csv, to_sparql_json, to_tsv
@@ -59,7 +59,6 @@ __all__ = [
     "compile_aggregate_ex",
     "explain",
     "QueryPlan",
-    "PlanStep",
     "ResultSet",
     "SERIALIZERS",
     "to_csv",

@@ -29,8 +29,7 @@ else returns ``(None, reason)`` for the term-space ``_aggregate`` path.
 Errors mirror that path: unbound arguments are skipped, a non-numeric
 value errors SUM/AVG (projected ``None``, HAVING drops the group), as do
 a blank node in GROUP_CONCAT and an empty MIN/MAX/SAMPLE; a malformed
-number raises.  Plans hold the graph's id assignment, so the serving
-cache's ``plans`` tier keys them by ``(query, graph uid, epoch)``.
+number raises.
 """
 
 from __future__ import annotations

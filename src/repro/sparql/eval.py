@@ -92,19 +92,16 @@ class Evaluator:
     pipeline (:mod:`repro.sparql.aggregator`).  ``compile=False`` keeps
     the term-space interpreter, retained purely as the differential
     oracle; lowering now declines only unsupported path shapes and
-    stores without an id backend (multi-graph union views).
-    ``plan_cache`` is an optional LRU (the serving cache's plan tier)
-    reusing compiled plans — including cached declines — across queries,
-    keyed by the WHERE group plus the graph's identity and epoch.
+    stores without an id backend (multi-graph union views).  Plans are
+    compiled per execution; lowering costs a fraction of a millisecond.
     """
 
     def __init__(self, graph, optimize: bool = True, compile: bool = True,
-                 plan_cache=None, stats=None, vectorize: bool = True,
+                 stats=None, vectorize: bool = True,
                  batch_size: int | None = None):
         self.graph = graph
         self.optimize = optimize
         self.compile = compile
-        self.plan_cache = plan_cache
         # Optional EndpointStats sink: once per SELECT the evaluator counts
         # which engine ran it (fused/compiled vs. fallback, batched vs.
         # tuple) and tallies why a shape fell back.
@@ -133,61 +130,27 @@ class Evaluator:
         return list(patterns)
 
     def _aggregate_plan(self, query: SelectQuery):
-        """Compile (or fetch) a fused aggregation plan.
+        """Compile a fused aggregation plan.
 
         Returns ``(plan, reason)`` where ``plan`` is None — with a stable
         decline reason — when the query must fall back to term space.
-        Declined compilations are cached too: a query shape the fused
-        engine cannot take keeps falling back without re-walking its AST
-        on every execution.
-        """
-        from .aggregator import compile_aggregate_ex
-
-        key = None
-        if self.plan_cache is not None:
-            epoch = getattr(self.graph, "epoch", None)
-            uid = getattr(self.graph, "uid", None)
-            if epoch is not None and uid is not None:
-                key = ("aggregate", query, self.optimize, uid, epoch)
-                from ..serving.cache import MISS
-
-                cached = self.plan_cache.get(key)
-                if cached is not MISS:
-                    return cached
-        plan, reason = compile_aggregate_ex(self.graph, query, optimize=self.optimize)
-        if key is not None:
-            self.plan_cache.put(key, (plan, reason))
-        return plan, reason
-
-    def _where_plan(self, where: GroupGraphPattern):
-        """Compile (or fetch) a physical plan for a whole WHERE group.
-
-        Returns ``(plan, reason)``; ``plan`` is None — with a stable
-        decline reason — when the group must run on the term-space
-        interpreter.  Declines are cached alongside plans so unsupported
-        shapes pay lowering once per (graph, epoch).
         """
         if not self.compile:
             return None, "compile-disabled"
-        key = None
-        if self.plan_cache is not None:
-            epoch = getattr(self.graph, "epoch", None)
-            # Plans embed one graph's term-id assignment, so the key needs
-            # the graph's *identity* as well as its version: a shared cache
-            # may serve endpoints over different graphs whose epochs
-            # coincide.  Graphs without a uid are never plan-cached.
-            uid = getattr(self.graph, "uid", None)
-            if epoch is not None and uid is not None:
-                key = ("where", where, self.optimize, uid, epoch)
-                from ..serving.cache import MISS
+        from .aggregator import compile_aggregate_ex
 
-                cached = self.plan_cache.get(key)
-                if cached is not MISS:
-                    return cached
-        plan, reason = compile_where(self.graph, where, optimize=self.optimize)
-        if key is not None:
-            self.plan_cache.put(key, (plan, reason))
-        return plan, reason
+        return compile_aggregate_ex(self.graph, query, optimize=self.optimize)
+
+    def _where_plan(self, where: GroupGraphPattern):
+        """Compile a physical plan for a whole WHERE group.
+
+        Returns ``(plan, reason)``; ``plan`` is None — with a stable
+        decline reason — when the group must run on the term-space
+        interpreter.
+        """
+        if not self.compile:
+            return None, "compile-disabled"
+        return compile_where(self.graph, where, optimize=self.optimize)
 
     # -- public API ----------------------------------------------------------
 
@@ -211,10 +174,7 @@ class Evaluator:
         if query.limit is not None:
             top_k = query.limit + (query.offset or 0)
         if query.is_aggregate_query:
-            if self.compile:
-                plan, reason = self._aggregate_plan(query)
-            else:
-                plan, reason = None, "compile-disabled"
+            plan, reason = self._aggregate_plan(query)
             if plan is not None:
                 # Fused path: the compiled join streams id rows straight
                 # into per-group accumulators, never materializing

@@ -1,59 +1,40 @@
 """Query plan explanation.
 
-``explain`` reports how the evaluator would execute a SELECT query.  Two
-layers are rendered:
+``explain`` reports how the evaluator would execute a SELECT query:
 
 * an ``engine:`` header saying which engine :class:`~repro.sparql.eval.
   Evaluator` would *really* use — ``compiled`` when the unified id-space
   operator pipeline accepts the query, ``term-space`` (with the decline
   reason) when it falls back — decided by running the actual compiler,
   not by re-implementing its rules;
-* for compiled queries, the full physical plan tree: every operator
+* for compiled queries, the physical plan tree: every operator
   (IndexScan/NestedProbe, Filter, ValuesBind, Bind, SubqueryScan,
-  LeftJoin, Union, Exists, Minus, PathClosure) with its cardinality
-  estimate where one exists, nested OPTIONAL/UNION/EXISTS/MINUS/
-  subquery sub-pipelines indented beneath their parent, plus the
-  AggregateFold and OrderLimit stages when the query has them.
+  LeftJoin, Union, Exists, Minus, PathClosure) in the order it runs,
+  with its cardinality estimate where one exists, nested OPTIONAL/UNION/
+  EXISTS/MINUS/subquery sub-pipelines indented beneath their parent,
+  plus the AggregateFold and OrderLimit stages when the query has them.
+  The scans' order is the join order;
+* for compiled queries, the ``vectorized:`` section: the batch size and
+  the scan that drives the batches, or why no scan does.
 
-The flat ``steps`` list (join order + per-pattern estimates over the
-top-level group) is kept as the stable diagnostic surface used by the
-optimizer ablation write-up.  This module never executes the query.
+This module never executes the query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ast import SelectQuery, TriplePattern
-from .optimizer import estimate_cardinality, order_patterns
+from .ast import SelectQuery
+from .optimizer import estimate_cardinality
 from .parser import parse_query
 
-__all__ = ["PlanStep", "QueryPlan", "explain"]
-
-
-@dataclass(frozen=True)
-class PlanStep:
-    """One BGP join step: the pattern, its estimate, and new bindings."""
-
-    position: int
-    pattern: TriplePattern
-    estimated_cardinality: int
-    binds: tuple[str, ...]
-
-    def render(self) -> str:
-        bound = ", ".join(f"?{name}" for name in self.binds) or "(nothing new)"
-        return (
-            f"{self.position}. {self.pattern.to_sparql()}  "
-            f"[est. {self.estimated_cardinality} matches; binds {bound}]"
-        )
+__all__ = ["QueryPlan", "explain"]
 
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """The execution plan of one query: engine, operator tree, join order."""
+    """The execution plan of one query: engine and operator tree."""
 
-    steps: tuple[PlanStep, ...]
-    optimized: bool
     #: ``"compiled"`` or ``"term-space"`` — what the Evaluator would use.
     engine: str = "term-space"
     #: why compilation declined (None when ``engine == "compiled"``).
@@ -75,9 +56,6 @@ class QueryPlan:
         if self.vectorized:
             lines.append("vectorized:")
             lines.extend("  " + line for line in self.vectorized)
-        header = "join order (optimizer %s):" % ("on" if self.optimized else "off")
-        lines.append(header)
-        lines.extend("  " + step.render() for step in self.steps)
         return "\n".join(lines)
 
 
@@ -108,6 +86,16 @@ def _pipeline_lines(graph, pipeline, indent: str = "") -> list[str]:
     return lines
 
 
+#: What runs when no scan drives the batches, by ``analyze_plan``'s reason.
+_NO_DRIVER = {
+    "empty": "a constant is absent from the graph, nothing runs",
+    "buffered writes": "buffered writes: one seed row, and scans and "
+                       "probes take the per-row fallback",
+    "no driving scan": "no driving scan: every operator runs batched "
+                       "from one seed row",
+}
+
+
 def _vectorized_lines(where_plan, batch_size) -> tuple[str, ...]:
     """Render what batched execution would do over ``where_plan``.
 
@@ -118,7 +106,7 @@ def _vectorized_lines(where_plan, batch_size) -> tuple[str, ...]:
 
     info = analyze_plan(where_plan, batch_size=batch_size)
     if info["driver"] is None:
-        driver = "driver: (none — batches fall back per-row)"
+        driver = f"driver: (none — {_NO_DRIVER[info['no_driver']]})"
     else:
         driver = f"driver: {info['driver']}  [~{info['batches']} batch(es)]"
     return (f"batch size {info['batch_size']}", driver)
@@ -163,17 +151,14 @@ def explain(
     graph,
     query: SelectQuery | str,
     optimize: bool = True,
-    compile: bool = True,
     batch_size: int | None = None,
 ) -> QueryPlan:
     """The execution plan ``Evaluator`` would use for ``query``.
 
-    ``optimize``/``compile`` mirror the Evaluator's flags, so the
-    ``engine:`` header reflects what an identically configured evaluator
-    does.  The flat join-order steps cover the top-level group's triple
-    patterns; the physical plan tree covers the whole WHERE clause.
-    ``batch_size`` feeds the vectorized section: which scan drives the
-    batches, and how many batches the store would split it into.
+    ``optimize`` mirrors the Evaluator's flag: with it off, the scans keep
+    the query's text order.  ``batch_size`` feeds the vectorized section:
+    which scan drives the batches, and how many batches the store would
+    split it into.
     """
     if isinstance(query, str):
         parsed = parse_query(query)
@@ -182,35 +167,7 @@ def explain(
         query = parsed
     if not isinstance(query, SelectQuery):
         raise TypeError("explain() requires a SELECT query")
-
-    if compile:
-        engine, reason, tree, vec = _compiled_tree(
-            graph, query, optimize, batch_size=batch_size)
-    else:
-        engine, reason, tree, vec = "term-space", "compile-disabled", (), ()
-
-    patterns = query.where.triple_patterns()
-    ordered = order_patterns(graph, list(patterns)) if optimize and len(patterns) > 1 else list(patterns)
-    steps = []
-    bound: set[str] = set()
-    for position, pattern in enumerate(ordered, start=1):
-        fresh = tuple(
-            sorted(v.name for v in pattern.variables() if v.name not in bound)
-        )
-        bound.update(fresh)
-        steps.append(
-            PlanStep(
-                position=position,
-                pattern=pattern,
-                estimated_cardinality=estimate_cardinality(graph, pattern),
-                binds=fresh,
-            )
-        )
-    return QueryPlan(
-        steps=tuple(steps),
-        optimized=optimize,
-        engine=engine,
-        decline_reason=reason,
-        tree=tree,
-        vectorized=vec,
-    )
+    engine, reason, tree, vec = _compiled_tree(
+        graph, query, optimize, batch_size=batch_size)
+    return QueryPlan(engine=engine, decline_reason=reason, tree=tree,
+                     vectorized=vec)

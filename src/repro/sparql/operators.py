@@ -94,10 +94,8 @@ occurrence into a scratch register and enforces the intra-pattern join
 with a register-equality check fused into the step (see
 :meth:`_Lowering.lower_step`, the one per-pattern lowering).
 
-Plans are immutable after compilation and hold no per-execution state
-(each execution builds a private :class:`_ExecContext`), so the serving
-cache's plans tier may share them across threads, keyed by
-``(where-group, optimize, graph uid, epoch)``.
+Plans are immutable after compilation and hold no per-execution state:
+each execution builds a private :class:`_ExecContext`.
 """
 
 from __future__ import annotations
@@ -1601,8 +1599,7 @@ class WherePlan:
     """An executable operator pipeline for one WHERE group.
 
     Immutable after compilation; every execution owns its context
-    (decode memo, path-frontier memo, filter schedules), so cached plans
-    are thread-safe.
+    (decode memo, path-frontier memo, filter schedules).
     """
 
     __slots__ = ("dictionary", "index", "slots", "root", "extra_terms",

@@ -1144,9 +1144,11 @@ def _find_driver(plan, ops):
 
     Three shapes map to a contiguous run range: ``?s <p> ?o`` (POS
     range1), ``?s <p> <o>`` (POS range2) and ``<s> <p> ?o`` (SPO
-    range2).  Requires a pure columnar run — with buffered deltas the
-    plan starts from a single seed row instead, and every join step
-    then runs through the per-row fallback."""
+    range2).  Without one the plan starts from a single seed row, in
+    one of two cases.  With buffered deltas or tombstones no run is pure,
+    so scans and probes take the per-row fallback.  Over pure runs whose
+    first operator is something else (a VALUES, a BIND, another scan
+    shape), every operator still runs batched from that seed row."""
     if not ops or not isinstance(ops[0], IndexScan):
         return None
     sc, ss, pc, ps, oc, os_ = ops[0].step
@@ -1324,18 +1326,24 @@ def analyze_plan(plan, batch_size: int | None = None) -> dict:
     """What batched execution would do — for ``explain()`` rendering.
 
     Returns the batch size, the driving scan (pattern string, or None)
-    and how many batches it splits into.  Purely static: nothing is
-    executed.
+    and how many batches it splits into.  Without a driving scan,
+    ``no_driver`` says why: ``"empty"`` (a constant is absent, nothing
+    runs), ``"buffered writes"`` or ``"no driving scan"`` (see
+    :func:`_find_driver`).  Purely static: nothing is executed.
     """
     config = VecConfig(batch_size=batch_size)
-    info = {"batch_size": config.batch_size, "driver": None, "batches": 0}
+    info = {"batch_size": config.batch_size, "driver": None, "batches": 0,
+            "no_driver": "empty"}
     if plan is None or getattr(plan, "empty", True):
         return info
     vctx = _VecCtx(plan, _NullDeadline(), config)
     ops = vctx.tctx.schedule(plan.root, _EMPTY_MASK)
     driver = _find_driver(plan, ops)
     if driver is None:
+        info["no_driver"] = ("buffered writes" if plan.index.pure_run(0) is None
+                             else "no driving scan")
         return info
+    info["no_driver"] = None
     info["driver"] = driver.op.pattern.to_sparql()
     info["batches"] = max(1, len(_scan_ranges(driver, config.batch_size)))
     return info

@@ -48,8 +48,8 @@ class GraphView:
     def uid(self) -> tuple[int, ...]:
         """Identity of the view: the member graphs' :attr:`Graph.uid` values.
 
-        Plan-cache keys combine this with :attr:`epoch` so plans compiled
-        for one view are never replayed against a different one.
+        Cache keys combine this with :attr:`epoch` so results computed
+        over one view are never served for a different one.
         """
         return tuple(g.uid for g in self._graphs)
 

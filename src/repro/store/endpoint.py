@@ -234,7 +234,6 @@ class Endpoint:
         self,
         graph: Graph | GraphView,
         default_timeout: float | None = None,
-        optimize: bool = True,
         compile: bool = True,
         text_index: TextIndex | None = None,
         cache: "QueryCache | None" = None,
@@ -246,33 +245,15 @@ class Endpoint:
         self.stats = EndpointStats()
         self._evaluator = Evaluator(
             graph,
-            optimize=optimize,
             compile=compile,
             stats=self.stats,
             vectorize=vectorize,
             batch_size=batch_size,
         )
         self._text_index = text_index
-        self._cache = None
         self.cache = cache
         self._lock = threading.Lock()
         self._rwlock = RWLock()
-
-    @property
-    def cache(self) -> "QueryCache | None":
-        return self._cache
-
-    @cache.setter
-    def cache(self, cache: "QueryCache | None") -> None:
-        """Attach a cache, wiring its plan tier into the evaluator.
-
-        The plan tier lets repeated pattern sequences (refinement menus,
-        REOLAP probes) skip join ordering and BGP compilation; caches
-        without one (plain LRU substitutes in tests) leave the evaluator's
-        per-instance behaviour unchanged.
-        """
-        self._cache = cache
-        self._evaluator.plan_cache = getattr(cache, "plans", None)
 
     # -- cache plumbing -----------------------------------------------------
 

@@ -87,8 +87,6 @@ class Graph:
         The serving layer keys cached query results by this value, so any
         ``add``/``remove``/bulk load invalidates stale entries without the
         cache having to watch the graph (see :mod:`repro.serving.cache`).
-        Compiled query plans are keyed by it too: term ids baked into a
-        plan stay valid only while the graph does not change.
         """
         return self._epoch
 
@@ -96,10 +94,10 @@ class Graph:
     def uid(self) -> int:
         """Process-unique, never-reused instance identity.
 
-        Compiled plans bake in this graph's term ids, so plan-cache keys
-        need an identity component alongside :attr:`epoch`: two distinct
-        graphs can share an epoch value, and ``id()`` can be recycled
-        after garbage collection.
+        Cache keys need an identity component alongside :attr:`epoch`: a
+        cache shared by endpoints over two distinct graphs must keep their
+        entries apart, two graphs can share an epoch value, and ``id()``
+        can be recycled after garbage collection.
         """
         return self._uid
 

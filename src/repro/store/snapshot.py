@@ -512,8 +512,8 @@ class SnapshotView(Graph):
     mutation, so one mmap'd snapshot can safely back many concurrent
     readers — worker threads, or separate server processes pointing at
     the same file (the OS shares the read-only pages between them).  Its
-    epoch is pinned to the value stored at save time, so compiled plans
-    and cached results keyed by ``(uid, epoch)`` stay valid forever.
+    epoch is pinned to the value stored at save time, so cached results
+    keyed by ``(uid, epoch)`` stay valid forever.
     """
 
     __slots__ = ()

@@ -4,7 +4,7 @@ Covers the equivalence property (fused plans return exactly what the
 term-space ``_aggregate`` path returns, including DISTINCT aggregates,
 HAVING, unbound group keys, empty groups, and OFFSET/LIMIT), the
 qualifying rules (non-qualifying shapes decline to the fallback instead of
-mis-answering), plan caching by graph epoch, the endpoint's fused/fallback
+mis-answering), the endpoint's fused/fallback
 counters, the cooperative deadline inside the accumulation loop, the
 single-pass MIN/MAX replacement in the term-space path, and the bounded
 top-k ordering both engines now share.
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from repro.errors import QueryTimeoutError
 from repro.rdf import IRI, Literal, Triple, literal_from_python
 from repro.rdf.terms import XSD_DOUBLE, XSD_INTEGER
-from repro.serving import QueryCache
 from repro.sparql import Evaluator, compile_aggregate, parse_query
 from repro.sparql.aggregator import AggregatePlan, compile_aggregate_ex
 from repro.store import Endpoint, Graph
@@ -303,41 +302,6 @@ class TestPlanCacheAndCounters:
         return build_cube(
             [(0, 0, 2, True), (0, 1, 3, True), (1, 0, 4, True), (2, 2, 5, True)]
         )
-
-    def test_aggregate_plan_cached_and_invalidated_by_epoch(self):
-        graph = self._cube()
-        cache = QueryCache()
-        evaluator = Evaluator(graph, plan_cache=cache.plans)
-        text = f"SELECT ?d (SUM(?v) AS ?s) WHERE {{ {BODY} }} GROUP BY ?d"
-        query = parse_query(text)
-        first = evaluator.select(query)
-        misses = cache.plans.stats.misses
-        again = evaluator.select(query)
-        assert again == first
-        # Second run hit the cached plan: no new plan-tier miss.
-        assert cache.plans.stats.misses == misses
-        assert cache.plans.stats.hits >= 1
-        # A mutation bumps the epoch; the stale plan key is unreachable.
-        graph.add(Triple(iri("obs9"), iri("dim"), iri("d0")))
-        graph.add(Triple(iri("obs9"), iri("val"), literal_from_python(7)))
-        refreshed = evaluator.select(query)
-        assert cache.plans.stats.misses > misses
-        legacy = Evaluator(graph, compile=False).select(query)
-        assert refreshed == legacy
-
-    def test_declined_compilation_is_cached(self):
-        graph = self._cube()
-        cache = QueryCache()
-        evaluator = Evaluator(graph, plan_cache=cache.plans)
-        text = (
-            f"SELECT ?d (SUM(?v + ?v) AS ?s) WHERE {{ {BODY} }} GROUP BY ?d"
-        )
-        query = parse_query(text)
-        evaluator.select(query)
-        hits = cache.plans.stats.hits
-        evaluator.select(query)
-        # The None (declined) entry is itself served from the cache.
-        assert cache.plans.stats.hits > hits
 
     def test_endpoint_counts_fused_and_fallback(self):
         graph = self._cube()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import reolap
+from repro.core import Disaggregate, Rollup, TopK, reolap
 from repro.rdf import IRI, Variable
 from repro.sparql import parse_query
 
@@ -119,3 +119,42 @@ class TestAnchorsSharingAColumn:
         results = ResultSet([level.variable()],
                             [(germany,), (italy,), (france,)])
         assert query.anchor_row_indexes(results) == [0, 2]
+
+
+class TestRegroupingDropsHaving:
+    """A Top-K cut-off holds for the groups it was computed over only.
+
+    Drill-down and roll-up change every group's aggregates, so the
+    thresholds go with the old grouping; a slice keeps each remaining
+    group's aggregates, and so its thresholds.
+    """
+
+    def _topk(self, endpoint, query, direction):
+        results = endpoint.select(query.to_select())
+        return next(r.query for r in TopK().propose(query, results)
+                    if f"({direction})" in r.explanation)
+
+    def test_drill_down_after_topk_keeps_the_example(
+            self, mini_endpoint, mini_vgraph, base_query):
+        cut = self._topk(mini_endpoint, base_query, "highest")
+        proposals = Disaggregate(mini_vgraph).propose(cut)
+        assert proposals
+        for proposal in proposals:
+            assert proposal.query.having == ()
+            results = mini_endpoint.select(proposal.query.to_select())
+            assert proposal.query.anchor_row_indexes(results)
+
+    def test_rollup_after_topk_keeps_the_example(
+            self, mini_endpoint, mini_vgraph, base_query):
+        cut = self._topk(mini_endpoint, base_query, "lowest")
+        proposals = Rollup(mini_vgraph, mini_endpoint).propose(cut)
+        assert proposals
+        for proposal in proposals:
+            assert proposal.query.having == ()
+            results = mini_endpoint.select(proposal.query.to_select())
+            assert proposal.query.anchor_row_indexes(results)
+
+    def test_slice_keeps_thresholds(self, mini_endpoint, base_query):
+        cut = self._topk(mini_endpoint, base_query, "highest")
+        (anchor, *_rest) = cut.anchors
+        assert cut.with_slice(anchor.level, anchor.member, "").having == cut.having

@@ -284,8 +284,7 @@ operations = st.lists(
 def epochs_held(cache: QueryCache) -> set:
     """The graph epochs of every entry in the versioned tiers."""
     return ({key[1][1] for key in cache.results._data}
-            | {key[2][1] for key in cache.keywords._data}
-            | {key[4] for key in cache.plans._data})
+            | {key[2][1] for key in cache.keywords._data})
 
 
 @settings(max_examples=40, deadline=None)
