@@ -23,11 +23,11 @@ Quickstart::
     from repro.core import ExplorationSession, VirtualSchemaGraph
     from repro.qb import OBSERVATION_CLASS
 
-    kg = generate_eurostat(n_observations=2000, scale=0.2)
+    kg = generate_eurostat(n_observations=2000, scale=0.4)
     endpoint = kg.endpoint()
     vgraph = VirtualSchemaGraph.bootstrap(endpoint, OBSERVATION_CLASS)
     session = ExplorationSession(endpoint, vgraph)
-    for candidate in session.synthesize("Germany", "2014"):
+    for candidate in session.synthesize("Germany", "2013"):
         print(candidate.description)
 """
 

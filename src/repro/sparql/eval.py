@@ -10,7 +10,9 @@ semantics for the supported subset:
 * FILTERs apply over the group, with expression errors removing the row;
 * GROUP BY partitions solutions; aggregates (COUNT/SUM/MIN/MAX/AVG/SAMPLE)
   evaluate per group, skipping error rows; HAVING filters groups;
-* DISTINCT, ORDER BY, LIMIT and OFFSET apply to the projected rows.
+* DISTINCT, ORDER BY, LIMIT and OFFSET apply as in
+  :func:`~repro.sparql.operators.finish_select`, which compiled
+  subqueries share.
 
 A deadline can be supplied to bound evaluation time, which is how the
 endpoint reproduces the triplestore timeouts discussed in the paper's
@@ -36,8 +38,6 @@ from .ast import (
     GroupGraphPattern,
     InExpr,
     NotExpr,
-    OrderCondition,
-    Projection,
     PropertyPath,
     Query,
     SelectQuery,
@@ -46,7 +46,7 @@ from .ast import (
     ValuesClause,
 )
 from .expressions import ExpressionError, effective_boolean_value, evaluate
-from .operators import OrderLimit, _Directed, _sorted_top, compile_where
+from .operators import compile_where, finish_select
 from .optimizer import order_patterns
 from .parser import parse_query
 from .paths import eval_path
@@ -167,12 +167,6 @@ class Evaluator:
         if not isinstance(query, SelectQuery):
             raise QueryEvaluationError("select() requires a SELECT query")
         deadline = _Deadline(timeout)
-        # ORDER BY + LIMIT only ever needs the first limit+offset rows, so
-        # the sort can run as a bounded heap selection instead of a full
-        # O(n log n) sort (heapq.nsmallest is stable, like sorted()).
-        top_k = None
-        if query.limit is not None:
-            top_k = query.limit + (query.offset or 0)
         if query.is_aggregate_query:
             plan, reason = self._aggregate_plan(query)
             if plan is not None:
@@ -192,57 +186,33 @@ class Evaluator:
             if counted:
                 self._tally("fused_aggregates" if plan is not None
                             else "fallback_aggregates", reason)
-            if query.distinct:
-                rows = _distinct(rows)
-            if query.order_by:
-                rows = self._order(rows, variables, query.order_by, limit=top_k)
+            return ResultSet(variables, finish_select(query, variables, rows=rows))
+        plan, reason = self._where_plan(query.where)
+        if counted:
+            self._tally("compiled_selects" if plan is not None
+                        else "fallback_selects", reason)
+        variables = query.output_variables()
+        rows = solutions = None
+        if plan is None:
+            solutions = self._eval_group(query.where, [dict()], deadline)
+        elif self.vec_config is None:
+            solutions = plan.solutions(deadline)
         else:
-            plan, reason = self._where_plan(query.where)
-            if counted:
-                self._tally("compiled_selects" if plan is not None
-                            else "fallback_selects", reason)
-            rows = None
-            if plan is not None:
-                if self.vec_config is not None:
-                    from .vectorized import vec_rows, vec_solutions
+            from .vectorized import vec_rows, vec_solutions
 
-                    fast_vars = self._bare_projection(query)
-                    if fast_vars is not None:
-                        # All projections are bare variables and no ORDER
-                        # BY runs: result rows assemble straight from the
-                        # decoded batch columns, skipping binding dicts.
-                        rows = vec_rows(plan, fast_vars, deadline,
-                                        self.vec_config)
-                        variables = query.output_variables()
-                    else:
-                        solutions = vec_solutions(plan, deadline,
-                                                  self.vec_config)
-                else:
-                    solutions = plan.solutions(deadline)
-                if counted:
-                    self._tally("tuple_executions" if self.vec_config is None
-                                else "batched_executions")
+            fast_vars = self._bare_projection(query)
+            if fast_vars is not None:
+                # All projections are bare variables and no ORDER BY
+                # runs: result rows assemble straight from the decoded
+                # batch columns, skipping binding dicts.
+                rows = vec_rows(plan, fast_vars, deadline, self.vec_config)
             else:
-                solutions = self._eval_group(query.where, [dict()], deadline)
-            if rows is None:
-                # SPARQL orders the *solutions* before projection, so ORDER
-                # BY may reference variables that are not projected.  The
-                # top-k bound only applies when no DISTINCT runs afterwards
-                # — DISTINCT collapses projected rows, so it may need
-                # solutions beyond the first limit+offset.
-                if query.order_by:
-                    solution_k = None if query.distinct else top_k
-                    solutions = self._order_solutions(
-                        solutions, query.order_by, limit=solution_k
-                    )
-                rows, variables = self._project(query, solutions)
-            if query.distinct:
-                rows = _distinct(rows)
-        if query.offset:
-            rows = rows[query.offset:]
-        if query.limit is not None:
-            rows = rows[: query.limit]
-        return ResultSet(variables, rows)
+                solutions = vec_solutions(plan, deadline, self.vec_config)
+        if plan is not None and counted:
+            self._tally("tuple_executions" if self.vec_config is None
+                        else "batched_executions")
+        return ResultSet(variables, finish_select(
+            query, variables, solutions=solutions, rows=rows))
 
     def ask(self, query: AskQuery | str, timeout: float | None = None) -> bool:
         """Evaluate an ASK query; returns whether any solution exists.
@@ -475,8 +445,8 @@ class Evaluator:
         Returns the per-column source variable list when every projection
         is a bare variable (``SELECT *`` or ``SELECT ?x (?y AS ?z)``) and
         no ORDER BY needs full solutions first; None otherwise.  Matches
-        ``_project`` exactly: a bare-variable expression evaluates to the
-        binding's term or None when unbound.
+        ``finish_select``'s projection exactly: a bare-variable expression
+        evaluates to the binding's term or None when unbound.
         """
         if query.order_by:
             return None
@@ -490,25 +460,6 @@ class Evaluator:
             else:
                 return None
         return sources
-
-    def _project(
-        self, query: SelectQuery, solutions: list[Binding]
-    ) -> tuple[list[tuple], list[Variable]]:
-        variables = query.output_variables()
-        rows: list[tuple] = []
-        if query.select_all:
-            for binding in solutions:
-                rows.append(tuple(binding.get(v) for v in variables))
-            return rows, variables
-        for binding in solutions:
-            row = []
-            for projection in query.projections:
-                try:
-                    row.append(evaluate(projection.expression, binding))
-                except ExpressionError:
-                    row.append(None)
-            rows.append(tuple(row))
-        return rows, variables
 
     def _aggregate(
         self, query: SelectQuery, solutions: list[Binding], deadline: _Deadline
@@ -551,42 +502,6 @@ class Evaluator:
                     row.append(None)
             rows.append(tuple(row))
         return rows, variables
-
-    def _order_solutions(
-        self,
-        solutions: list[Binding],
-        conditions: tuple[OrderCondition, ...],
-        limit: int | None = None,
-    ) -> list[Binding]:
-        # Both engines share the OrderLimit physical operator, so sort-key
-        # construction, error ordering, and top-k tie-breaking are
-        # identical by construction.
-        return OrderLimit(conditions, limit).apply(solutions)
-
-    def _order(
-        self,
-        rows: list[tuple],
-        variables: list[Variable],
-        conditions: tuple[OrderCondition, ...],
-        limit: int | None = None,
-    ) -> list[tuple]:
-        def sort_key(row: tuple):
-            binding = {v: t for v, t in zip(variables, row) if t is not None}
-            keys = []
-            for condition in conditions:
-                try:
-                    value = evaluate(condition.expression, binding)
-                    key = (1,) + value.sort_key()
-                except ExpressionError:
-                    key = (0,)
-                keys.append(_Directed(key, condition.ascending))
-            return keys
-
-        return _sorted_top(rows, sort_key, limit)
-
-
-# _sorted_top and _Directed moved to repro.sparql.operators (shared with
-# the OrderLimit physical operator); re-imported above for local use.
 
 
 # --------------------------------------------------------------------------
@@ -658,16 +573,6 @@ def _minus_removes(binding: Binding, right: list[Binding]) -> bool:
         if all(binding[v] == other[v] for v in shared):
             return True
     return False
-
-
-def _distinct(rows: list[tuple]) -> list[tuple]:
-    seen: set[tuple] = set()
-    unique: list[tuple] = []
-    for row in rows:
-        if row not in seen:
-            seen.add(row)
-            unique.append(row)
-    return unique
 
 
 def _eval_grouped(expression: Expression, members: list[Binding], key_binding: Binding) -> Node:

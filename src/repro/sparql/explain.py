@@ -60,18 +60,16 @@ class QueryPlan:
 
 
 def _pipeline_lines(graph, pipeline, indent: str = "") -> list[str]:
-    """Render one GroupPipeline's operators, recursing into sub-plans.
+    """Render one GroupPipeline's schedule, recursing into sub-plans.
 
-    Uses the pipeline's representative schedule (empty entry mask), so
-    filter placement shown here is the top-level one; nested groups may
-    re-interleave filters per entry row at run time.  Operators over a
-    triple pattern carry the catalog's cardinality estimate for it.
+    Operators over a triple pattern carry the catalog's cardinality
+    estimate for it.
     """
     if pipeline.empty:
         return [f"{indent}EmptyGroup {pipeline.empty_pattern.to_sparql()}"
                 "  [constant absent from graph]"]
     lines: list[str] = []
-    for op in pipeline.display_ops():
+    for op in pipeline.ops:
         detail = op.describe()
         line = f"{indent}{op.kind}"
         if detail:

@@ -50,16 +50,17 @@ Operator taxonomy (one class per physical operator):
   :mod:`repro.sparql.aggregator` (``AggregatePlan``) and consumes this
   module's row stream.
 
-Groups compile to :class:`GroupPipeline` objects rather than flat
-operator lists because the term-space interpreter — which stays behind
-``compile=False`` as the differential oracle — schedules FILTERs
-against the set of variables *actually bound in the incoming binding*:
-for a nested group (an OPTIONAL body, a UNION branch) that set is a
-per-row property.  The pipeline therefore keeps its filters unplaced at
-compile time and interleaves them at execution, memoized per
-(group, entry-mask), reproducing ``Evaluator._eval_group``'s attachment
-points exactly: ready filters attach after pattern join steps only, and
-whatever is left runs at the end of the group.
+Each group compiles to a :class:`GroupPipeline` holding one operator
+schedule, fixed at lowering.  A FILTER runs right after the first
+pattern step at which every variable it reads is bound — counting the
+outer group's definitely-bound variables, the group's VALUES and
+subquery variables and the steps so far — or at the end of the group.
+A bound variable never changes value, so this keeps the interpreter's
+rows and their order; the shapes where it would not decline as
+``filter-placement`` (below).  The one per-row property left is a BIND
+whose target the incoming row already binds: the group's entry check
+raises for it (:meth:`GroupPipeline.raise_rebinds`), as the interpreter
+does when it evaluates the group.
 
 Constants the dictionary has never seen get *pseudo ids* (negative,
 plan-local): they can never equal a real id, so joins against them fail
@@ -83,7 +84,10 @@ tally.  Shapes that still decline — and why:
 
 * ``path-shape`` — a property-path construct outside the compiled path
   program forms;
-* ``no-id-backend`` — multi-graph union views have no shared id space.
+* ``no-id-backend`` — multi-graph union views have no shared id space;
+* ``filter-placement`` — a nested group where running a FILTER later
+  than the interpreter would change the answer (see
+  :meth:`_Lowering.lower_group`).
 
 A subquery whose *inner* query declines (e.g. an unsupported aggregate
 shape) propagates the inner reason outward.  The term-space interpreter
@@ -150,8 +154,6 @@ __all__ = [
 
 Binding = dict[Variable, Node]
 
-_EMPTY_MASK: frozenset = frozenset()
-
 
 class _Decline(Exception):
     """Raised during lowering for a shape the operator set cannot take."""
@@ -162,7 +164,7 @@ class _Decline(Exception):
 
 
 class _ExecContext:
-    """Per-execution state: deadline, codec memos, schedule and path memos.
+    """Per-execution state: deadline, codec memos and path memos.
 
     The context is also the execution-local *value codec*: ``decode``
     memoizes id → term for both store ids and pseudo ids, and ``encode``
@@ -170,14 +172,14 @@ class _ExecContext:
     stored, the plan's compile-time pseudo id when the plan already
     tabled it, or a freshly minted execution-local pseudo id otherwise.
     Minting continues the negative id space past ``extra_terms`` and
-    takes a lock: the decode/schedule memos are idempotent caches, where
+    takes a lock: the decode and path memos are idempotent caches, where
     a race only costs a recompute, but minting is the one step that must
     never hand the same term two different ids.
     """
 
     __slots__ = (
-        "index", "check", "decode_raw", "memo", "path_memo", "schedules",
-        "deadline", "dictionary", "num_registers", "_pseudo", "_mint_base",
+        "index", "check", "decode_raw", "memo", "path_memo", "deadline",
+        "dictionary", "num_registers", "_pseudo", "_mint_base",
         "runtime_terms", "_minted", "_mint_lock", "op_memo",
     )
 
@@ -195,7 +197,6 @@ class _ExecContext:
         self._mint_lock = threading.Lock()
         self.memo: dict[int, Node] = {}
         self.path_memo: dict[tuple, list[int]] = {}
-        self.schedules: dict[tuple, tuple] = {}
         self.op_memo: dict[int, tuple] = {}
 
     def decode(self, term_id: int) -> Node:
@@ -225,21 +226,6 @@ class _ExecContext:
                     self.runtime_terms.append(term)
                     self._minted[term] = minted
         return minted
-
-    def schedule(self, pipeline: "GroupPipeline", mask: frozenset) -> tuple:
-        key = (pipeline.gid, mask)
-        ops = self.schedules.get(key)
-        if ops is None:
-            ops = pipeline.build_schedule(mask)
-            self.schedules[key] = ops
-        return ops
-
-
-def _run_pipeline(ops, rows, ctx) -> Iterator[list]:
-    """Chain a sub-pipeline lazily over ``rows``."""
-    for op in ops:
-        rows = op.run(rows, ctx)
-    return rows
 
 
 # --------------------------------------------------------------------------
@@ -527,14 +513,12 @@ class BindOp(PhysicalOp):
 
 
 class _BindRebind(PhysicalOp):
-    """A BIND whose target variable is already in scope: always an error.
+    """A BIND whose target the group itself binds first: always an error.
 
     The interpreter raises the moment the group is evaluated — even with
-    zero solutions — so this op raises on first pull rather than per
-    row.  It is emitted at compile time when the rebinding is statically
-    certain (the variable is bound by the group itself) and substituted
-    into the schedule per entry mask when it depends on what the
-    incoming row binds.
+    zero solutions — and so does the group's entry check
+    (:meth:`GroupPipeline.raise_rebinds`); the op stands in the schedule
+    where the BIND would run.
     """
 
     kind = "Bind"
@@ -547,10 +531,14 @@ class _BindRebind(PhysicalOp):
         return f"{self.bind.to_sparql()} — rebinds in-scope variable"
 
     def run(self, rows, ctx):
-        raise QueryEvaluationError(
-            f"BIND would rebind in-scope variable {self.bind.variable.n3()}"
-        )
+        raise _rebind_error(self.bind)
         yield  # pragma: no cover — generator protocol; the raise always fires
+
+
+def _rebind_error(bind: BindClause) -> QueryEvaluationError:
+    return QueryEvaluationError(
+        f"BIND would rebind in-scope variable {bind.variable.n3()}"
+    )
 
 
 class SubqueryScan(PhysicalOp):
@@ -726,12 +714,7 @@ class MinusJoin(PhysicalOp):
     def right_rows(self, ctx) -> tuple:
         right = ctx.op_memo.get(id(self))
         if right is None:
-            if self.inner.empty:
-                self.inner.raise_rebinds([None] * ctx.num_registers)
-                right = ()
-            else:
-                seed = [None] * ctx.num_registers
-                right = tuple(self.inner.run_row(seed, ctx))
+            right = tuple(self.inner.run_row([None] * ctx.num_registers, ctx))
             ctx.op_memo[id(self)] = right
         return right
 
@@ -954,120 +937,51 @@ def _path_sequence(ctx, steps, s, o):
 
 
 class GroupPipeline:
-    """One WHERE group, lowered: ordered operators + unplaced filters.
+    """One WHERE group, lowered: its one operator schedule.
 
-    Filter placement replicates the term-space interpreter exactly, and
-    there it depends on which variables the *incoming binding* already
-    holds — a per-row property for nested groups.  So the pipeline keeps
-    its filters aside and :meth:`build_schedule` interleaves them for a
-    given entry mask (the set of filter-relevant variables bound on
-    entry): ready filters attach after pattern join steps only, and the
-    remainder runs at the end of the group.  Schedules are memoized per
-    execution, keyed by ``(group id, mask)``.
+    ``ops`` runs in order (see :meth:`_Lowering.lower_group` for where
+    FILTERs go); ``binds`` holds the group's BIND operators, which the
+    entry check reads.  ``empty_pattern`` names the never-seen constant
+    that empties the group, if one does.
     """
 
-    __slots__ = ("gid", "values_ops", "pattern_ops", "tail_ops", "filter_units",
-                 "relevant_items", "values_vars", "empty_pattern")
+    __slots__ = ("ops", "binds", "empty_pattern")
 
-    def __init__(self, gid: int, values_ops: tuple, pattern_ops: tuple,
-                 tail_ops: tuple, filter_units: tuple,
-                 relevant_items: tuple, empty_pattern: TriplePattern | None):
-        self.gid = gid
-        self.values_ops = values_ops
-        self.pattern_ops = pattern_ops
-        self.tail_ops = tail_ops
-        self.filter_units = filter_units
-        self.relevant_items = relevant_items
-        self.values_vars = frozenset(
-            v
-            for op in values_ops
-            for v in (
-                op.clause.variables_ if isinstance(op, ValuesBind) else op.variables
-            )
-        )
+    def __init__(self, ops: tuple, binds: tuple,
+                 empty_pattern: TriplePattern | None):
+        self.ops = ops
+        self.binds = binds
         self.empty_pattern = empty_pattern
 
     @property
     def empty(self) -> bool:
         return self.empty_pattern is not None
 
-    def entry_mask(self, row: list) -> frozenset:
-        """Which filter-relevant variables the row already binds."""
-        if not self.relevant_items:
-            return _EMPTY_MASK
-        return frozenset(
-            variable for variable, slot in self.relevant_items
-            if row[slot] is not None
-        )
-
-    def build_schedule(self, mask: frozenset) -> tuple:
-        """Interleave filters with the operator sequence for one mask.
-
-        Mirrors ``Evaluator._eval_group``: VALUES and subquery joins
-        first (no readiness checks), then pattern steps with ready
-        filters attached after each, then UNION/OPTIONAL/BIND/EXISTS/
-        MINUS operators (no checks — the interpreter only tests
-        readiness inside its pattern loop), then every filter still
-        pending at the end of the group.
-
-        A :class:`BindOp` whose target variable the entry mask already
-        binds is substituted with the always-raising rebind check — the
-        interpreter's in-scope test counts the incoming binding's
-        variables, which for nested groups is a per-row property.
-        """
-        ops: list[PhysicalOp] = list(self.values_ops)
-        available = set(mask) | self.values_vars
-        pending = list(self.filter_units)
-        for op, pattern_vars in self.pattern_ops:
-            ops.append(op)
-            available |= pattern_vars
-            if pending:
-                ready = [u for u in pending if u.variables <= available]
-                if ready:
-                    pending = [u for u in pending if u not in ready]
-                    ops.append(FilterOp(tuple(ready)))
-        for op in self.tail_ops:
-            if isinstance(op, BindOp) and op.bind.variable in mask:
-                ops.append(_BindRebind(op.bind))
-            else:
-                ops.append(op)
-        if pending:
-            ops.append(FilterOp(tuple(pending)))
-        return tuple(ops)
-
     def raise_rebinds(self, row: list) -> None:
-        """The rebind error an empty group still owes for ``row``.
+        """The rebind error the group owes on entry with ``row``.
 
         The interpreter checks BIND scope the moment a group is
-        evaluated — before it could know the group yields nothing — so a
-        group short-circuited at compile time (never-seen constant) must
-        still raise for a statically-certain rebind, or for a BIND whose
-        target the incoming row already binds.
+        evaluated — before it could know whether the group yields
+        anything — so entering the group raises for a statically certain
+        rebind, or for a BIND whose target the incoming row binds.
         """
-        for op in self.tail_ops:
-            if isinstance(op, _BindRebind) or (
-                isinstance(op, BindOp) and row[op.slot] is not None
-            ):
-                raise QueryEvaluationError(
-                    f"BIND would rebind in-scope variable "
-                    f"{op.bind.variable.n3()}"
-                )
+        for op in self.binds:
+            if isinstance(op, _BindRebind) or row[op.slot] is not None:
+                raise _rebind_error(op.bind)
 
     def run_row(self, row: list, ctx: _ExecContext) -> Iterator[list]:
-        """Run the group for one seed row (nested-group entry point)."""
+        """Run the group lazily from one seed row, after its entry check."""
+        self.raise_rebinds(row)
         if self.empty_pattern is not None:
-            self.raise_rebinds(row)
             return iter(())
-        ops = ctx.schedule(self, self.entry_mask(row))
-        return _run_pipeline(ops, iter((row,)), ctx)
-
-    def display_ops(self) -> tuple:
-        """A representative schedule (empty entry mask) — for explain."""
-        return self.build_schedule(_EMPTY_MASK)
+        rows: Iterator[list] = iter((row,))
+        for op in self.ops:  # chained lazily
+            rows = op.run(rows, ctx)
+        return rows
 
 
 # --------------------------------------------------------------------------
-# ORDER BY / LIMIT
+# SELECT solution modifiers
 # --------------------------------------------------------------------------
 
 
@@ -1098,21 +1012,29 @@ class OrderLimit:
             detail += f" (top-{self.limit} heap)"
         return detail
 
+    def sort_key(self, binding: Binding) -> list:
+        keys = []
+        for condition in self.conditions:
+            try:
+                value = evaluate(condition.expression, binding)
+                key = (1,) + value.sort_key()
+            except ExpressionError:
+                key = (0,)
+            keys.append(_Directed(key, condition.ascending))
+        return keys
+
     def apply(self, solutions: list[Binding]) -> list[Binding]:
-        conditions = self.conditions
+        return _sorted_top(solutions, self.sort_key, self.limit)
 
-        def sort_key(binding: Binding):
-            keys = []
-            for condition in conditions:
-                try:
-                    value = evaluate(condition.expression, binding)
-                    key = (1,) + value.sort_key()
-                except ExpressionError:
-                    key = (0,)
-                keys.append(_Directed(key, condition.ascending))
-            return keys
-
-        return _sorted_top(solutions, sort_key, self.limit)
+    def apply_rows(self, rows: list[tuple], variables) -> list[tuple]:
+        """ORDER BY over projected rows (aggregate results)."""
+        sort_key = self.sort_key
+        return _sorted_top(
+            rows,
+            lambda row: sort_key(
+                {v: t for v, t in zip(variables, row) if t is not None}),
+            self.limit,
+        )
 
 
 def _sorted_top(items: list, sort_key, limit: int | None) -> list:
@@ -1146,6 +1068,53 @@ class _Directed:
         return isinstance(other, _Directed) and self.key == other.key
 
 
+def finish_select(query, variables, *, solutions: list[Binding] | None = None,
+                  rows: list[tuple] | None = None) -> list[tuple]:
+    """SELECT's solution modifiers: project, ORDER BY, DISTINCT, OFFSET/LIMIT.
+
+    Pass ``solutions`` for a plain SELECT: ORDER BY sorts them before
+    projection (it may read unprojected variables), as a top-k heap
+    unless DISTINCT follows (which may need solutions past the first
+    limit+offset), and projection errors leave the cell unbound.  Pass
+    already projected ``rows`` for an aggregate SELECT, or for a plain
+    one without ORDER BY: DISTINCT runs first, then ORDER BY over the
+    rows.  OFFSET/LIMIT slice last.
+    """
+    top_k = None
+    if query.limit is not None:
+        top_k = query.limit + (query.offset or 0)
+    if solutions is not None:
+        if query.order_by:
+            solution_k = None if query.distinct else top_k
+            solutions = OrderLimit(query.order_by, solution_k).apply(solutions)
+        rows = _project_rows(query, solutions, variables)
+    if query.distinct:
+        rows = list(dict.fromkeys(rows))
+    if query.order_by and solutions is None:
+        rows = OrderLimit(query.order_by, top_k).apply_rows(rows, variables)
+    if query.offset:
+        rows = rows[query.offset:]
+    if query.limit is not None:
+        rows = rows[: query.limit]
+    return rows
+
+
+def _project_rows(query, solutions: list[Binding], variables) -> list[tuple]:
+    """Project solutions onto result rows: errors project to unbound."""
+    if query.select_all:
+        return [tuple(binding.get(v) for v in variables) for binding in solutions]
+    rows: list[tuple] = []
+    for binding in solutions:
+        row = []
+        for projection in query.projections:
+            try:
+                row.append(evaluate(projection.expression, binding))
+            except ExpressionError:
+                row.append(None)
+        rows.append(tuple(row))
+    return rows
+
+
 # --------------------------------------------------------------------------
 # Lowering
 # --------------------------------------------------------------------------
@@ -1164,7 +1133,6 @@ class _Lowering:
         self.extra_terms: list[Node] = []
         self._pseudo: dict[Node, int] = {}
         self._closure_count = 0
-        self._group_count = 0
 
     def slot(self, variable: Variable) -> int:
         slot = self.slots.get(variable)
@@ -1213,14 +1181,19 @@ class _Lowering:
         enter this group (used to classify scan vs probe and to seed
         nested lowerings); ``outer_definite`` is the subset bound in
         every row (used for join ordering, matching the interpreter's
-        per-row ordering on the straight-line path).  Filter placement
-        uses neither — it is resolved per entry mask at execution time.
+        per-row ordering on the straight-line path, and for FILTER
+        placement).
+
+        The schedule mirrors ``Evaluator._eval_group``: VALUES and
+        subquery joins first, then the pattern steps, each followed by
+        the filters its variables complete, then UNION/OPTIONAL/BIND/
+        EXISTS/MINUS operators, then every filter still pending.  A
+        filter counts as ready once ``outer_definite``, the VALUES and
+        subquery variables and the steps so far bind all it reads.
         """
         (values_clauses, subselects, patterns, filters, unions, optionals,
          binds, exists_filters, minus_patterns) = group.partition()
 
-        self._group_count += 1
-        gid = self._group_count
         may = set(outer_may)
         definite = set(outer_definite)
         empty_pattern: TriplePattern | None = None
@@ -1250,6 +1223,15 @@ class _Lowering:
             op = self._lower_subselect(subselect)
             values_ops.append(op)
             may |= set(op.variables)
+        # What VALUES and subquery joins bind (UNDEF cells included, as
+        # in the interpreter's readiness and in-scope sets).
+        values_vars: set[Variable] = set()
+        for op in values_ops:
+            values_vars |= set(
+                op.clause.variables_ if isinstance(op, ValuesBind) else op.variables
+            )
+        # Columns that may hold an unbound cell: UNDEF, a subquery's None.
+        unsure = values_vars - definite
 
         pattern_ops = []
         if patterns:
@@ -1300,20 +1282,14 @@ class _Lowering:
         # subqueries, patterns, union branches, earlier BINDs — but NOT
         # OPTIONAL variables (an OPTIONAL-bound variable may be silently
         # overwritten) and not the incoming row's variables, which are a
-        # per-row property handled through the entry mask.
-        local_available: set[Variable] = set()
-        for clause in values_clauses:
-            local_available |= set(clause.variables_)
-        for op in values_ops:
-            if isinstance(op, SubqueryScan):
-                local_available |= set(op.variables)
+        # per-row property: GroupPipeline.raise_rebinds checks them on entry.
+        local_available = set(values_vars)
         for pattern in patterns:
             local_available |= pattern.variables()
         for union in unions:
             for branch in union.branches:
                 local_available |= branch.variables()
 
-        bind_items: list[tuple[Variable, int]] = []
         for bind in binds:
             slot = self.slot(bind.variable)
             if bind.variable in local_available:
@@ -1323,7 +1299,6 @@ class _Lowering:
             else:
                 program = compile_expression(bind.expression, self.slots)
                 tail_ops.append(BindOp(bind, slot, program))
-                bind_items.append((bind.variable, slot))
             local_available.add(bind.variable)
             may.add(bind.variable)
 
@@ -1341,24 +1316,35 @@ class _Lowering:
             )
             tail_ops.append(MinusJoin(minus, inner, shared))
 
-        filter_units = tuple(self._filter_unit(c) for c in filters)
-        relevant: dict[Variable, int] = {}
-        for unit in filter_units:
-            for variable, slot in unit.slot_items:
-                relevant[variable] = slot
-        for variable, slot in bind_items:
-            # Entry masks must cover BIND targets: a row that already
-            # binds one triggers the per-row rebind error.
-            relevant[variable] = slot
-        return GroupPipeline(
-            gid,
-            tuple(values_ops),
-            tuple(pattern_ops),
-            tuple(tail_ops),
-            filter_units,
-            tuple(relevant.items()),
-            empty_pattern,
+        units = [self._filter_unit(c) for c in filters]
+        places = _filter_places(units, outer_definite | values_vars, pattern_ops)
+        early = _filter_places(units, outer_may | values_vars, pattern_ops)
+        if places != early:
+            # The interpreter runs such a filter early for rows that bind
+            # its outer variables.  Running it later keeps the rows unless
+            # a row it would have dropped still changes the outcome: a
+            # VALUES or subquery cell it read unbound gets bound later, or
+            # a nested group raises its rebind error on that row.
+            nested_binds = any(
+                _has_binds(child) for op in tail_ops for _label, child in op.children()
+            )
+            for unit, place, first in zip(units, places, early):
+                if place != first and (unit.variables & unsure or nested_binds):
+                    raise _Decline("filter-placement")
+        ops: list[PhysicalOp] = list(values_ops)
+        for position, (op, _pattern_vars) in enumerate(pattern_ops):
+            ops.append(op)
+            ready = [u for u, place in zip(units, places) if place == position]
+            if ready:
+                ops.append(FilterOp(tuple(ready)))
+        ops.extend(tail_ops)
+        pending = [u for u, place in zip(units, places) if place == len(pattern_ops)]
+        if pending:
+            ops.append(FilterOp(tuple(pending)))
+        group_binds = tuple(
+            op for op in tail_ops if isinstance(op, (BindOp, _BindRebind))
         )
+        return GroupPipeline(tuple(ops), group_binds, empty_pattern)
 
     def _filter_unit(self, constraint: Filter) -> _FilterUnit:
         variables = frozenset(constraint.expression.variables())
@@ -1445,20 +1431,39 @@ class _Lowering:
         raise _Decline("path-shape")
 
 
+def _filter_places(units, bound: set, pattern_ops) -> list[int]:
+    """For each filter, the pattern step it runs after, given what is
+    ``bound`` on entry (``len(pattern_ops)``: the end of the group)."""
+    places = []
+    for unit in units:
+        available = set(bound)
+        place = len(pattern_ops)
+        for position, (_op, pattern_vars) in enumerate(pattern_ops):
+            available |= pattern_vars
+            if unit.variables <= available:
+                place = position
+                break
+        places.append(place)
+    return places
+
+
+def _has_binds(pipeline: GroupPipeline) -> bool:
+    """Whether the group, or a group nested in it, holds a BIND."""
+    return bool(pipeline.binds) or any(
+        _has_binds(child) for op in pipeline.ops for _label, child in op.children()
+    )
+
+
 def _compile_subquery(graph, query, optimize: bool):
     """Compile a nested SELECT; returns ``(runner, variables, inner_root)``.
 
     ``runner(deadline)`` produces the subquery's result rows (tuples of
-    terms / None), replicating ``Evaluator.select`` on the compiled
-    tuple path: distinct-then-order for aggregates, order-then-project-
-    then-distinct otherwise, OFFSET/LIMIT last.  Raises
-    :class:`_Decline` with the inner reason when the inner query cannot
-    compile — the subquery then declines as a whole, with the inner
-    reason as the outward-visible one.
+    terms / None) through :func:`finish_select`, like
+    ``Evaluator.select`` on the tuple path.  Raises :class:`_Decline`
+    with the inner reason when the inner query cannot compile — the
+    subquery then declines as a whole, with the inner reason as the
+    outward-visible one.
     """
-    top_k = None
-    if query.limit is not None:
-        top_k = query.limit + (query.offset or 0)
     if query.is_aggregate_query:
         from .aggregator import compile_aggregate_ex
 
@@ -1467,14 +1472,9 @@ def _compile_subquery(graph, query, optimize: bool):
             raise _Decline(reason)
         variables = tuple(p.variable for p in query.projections)
 
-        def runner(deadline, plan=plan, query=query, variables=variables,
-                   top_k=top_k):
+        def runner(deadline):
             rows, _variables = plan.execute(deadline)
-            if query.distinct:
-                rows = _distinct_rows(rows)
-            if query.order_by:
-                rows = _order_rows(rows, variables, query.order_by, top_k)
-            return _slice_rows(rows, query)
+            return finish_select(query, variables, rows=rows)
 
         return runner, variables, plan.body.root
 
@@ -1483,73 +1483,11 @@ def _compile_subquery(graph, query, optimize: bool):
         raise _Decline(reason)
     variables = tuple(query.output_variables())
 
-    def runner(deadline, plan=plan, query=query, variables=variables,
-               top_k=top_k):
-        solutions = plan.solutions(deadline)
-        if query.order_by:
-            # The top-k bound only applies without DISTINCT (which may
-            # need solutions beyond the first limit+offset).
-            solution_k = None if query.distinct else top_k
-            solutions = OrderLimit(query.order_by, solution_k).apply(solutions)
-        rows = _project_rows(query, solutions, variables)
-        if query.distinct:
-            rows = _distinct_rows(rows)
-        return _slice_rows(rows, query)
+    def runner(deadline):
+        return finish_select(query, variables,
+                             solutions=plan.solutions(deadline))
 
     return runner, variables, plan.root
-
-
-def _project_rows(query, solutions: list[Binding], variables) -> list[tuple]:
-    """Replicates ``Evaluator._project``: errors project to unbound."""
-    rows: list[tuple] = []
-    if query.select_all:
-        for binding in solutions:
-            rows.append(tuple(binding.get(v) for v in variables))
-        return rows
-    for binding in solutions:
-        row = []
-        for projection in query.projections:
-            try:
-                row.append(evaluate(projection.expression, binding))
-            except ExpressionError:
-                row.append(None)
-        rows.append(tuple(row))
-    return rows
-
-
-def _order_rows(rows: list[tuple], variables, conditions, limit: int | None):
-    """Replicates ``Evaluator._order``: row-level ORDER BY."""
-    def sort_key(row: tuple):
-        binding = {v: t for v, t in zip(variables, row) if t is not None}
-        keys = []
-        for condition in conditions:
-            try:
-                value = evaluate(condition.expression, binding)
-                key = (1,) + value.sort_key()
-            except ExpressionError:
-                key = (0,)
-            keys.append(_Directed(key, condition.ascending))
-        return keys
-
-    return _sorted_top(rows, sort_key, limit)
-
-
-def _distinct_rows(rows: list[tuple]) -> list[tuple]:
-    seen: set[tuple] = set()
-    unique: list[tuple] = []
-    for row in rows:
-        if row not in seen:
-            seen.add(row)
-            unique.append(row)
-    return unique
-
-
-def _slice_rows(rows: list[tuple], query) -> list[tuple]:
-    if query.offset:
-        rows = rows[query.offset:]
-    if query.limit is not None:
-        rows = rows[: query.limit]
-    return rows
 
 
 def id_backend(graph):
@@ -1599,7 +1537,7 @@ class WherePlan:
     """An executable operator pipeline for one WHERE group.
 
     Immutable after compilation; every execution owns its context
-    (decode memo, path-frontier memo, filter schedules).
+    (decode memo, path-frontier memo, subquery and MINUS memos).
     """
 
     __slots__ = ("dictionary", "index", "slots", "root", "extra_terms",
@@ -1634,21 +1572,14 @@ class WherePlan:
 
     def solutions(self, deadline) -> list[Binding]:
         """Run the pipeline eagerly, stage by stage; decoded bindings out."""
+        self.root.raise_rebinds(self._seed())
         if self.empty:
-            self.root.raise_rebinds(self._seed())
             return []
         ctx = _ExecContext(self, deadline)
         rows: Iterable[list] = [self._seed()]
-        ops = ctx.schedule(self.root, _EMPTY_MASK)
-        for position, op in enumerate(ops):
+        for op in self.root.ops:
             rows = list(op.run(rows, ctx))
             if not rows:
-                # Lazy chaining still *starts* downstream generators on
-                # an empty stream; preserve the always-raising rebind
-                # check across this eager early exit.
-                for tail in ops[position + 1:]:
-                    if isinstance(tail, _BindRebind):
-                        next(tail.run(iter(()), ctx), None)
                 return []
         decode = ctx.decode
         slot_items = self.slot_items
@@ -1673,11 +1604,7 @@ class WherePlan:
         """
         if ctx is None:
             ctx = _ExecContext(self, deadline)
-        if self.empty:
-            self.root.raise_rebinds(self._seed())
-            return iter(()), ctx
-        ops = ctx.schedule(self.root, _EMPTY_MASK)
-        return _run_pipeline(ops, iter((self._seed(),)), ctx), ctx
+        return self.root.run_row(self._seed(), ctx), ctx
 
     def any(self, deadline) -> bool:
         """Whether the pipeline produces at least one row (lazy)."""
@@ -1689,6 +1616,6 @@ class WherePlan:
     def __repr__(self) -> str:
         state = (
             "empty" if self.empty
-            else f"group of {len(self.root.pattern_ops)} steps"
+            else f"group of {len(self.root.ops)} operators"
         )
         return f"<WherePlan {state}, {len(self.slots)} registers>"

@@ -55,15 +55,15 @@ import time
 
 import numpy as _np
 
-from ..errors import QueryEvaluationError, QueryTimeoutError
+from ..errors import QueryTimeoutError
 from ..rdf.terms import BNode, Literal, Variable
 from ..store.index import MALFORMED, NOT_NUMERIC, numeric_of
 from .ast import BoolOp, Comparison, FunctionCall, NotExpr, TermExpr
 from .expressions import ExpressionError, effective_boolean_value
 from .operators import (
-    _EMPTY_MASK,
     _BindRebind,
     _ExecContext,
+    _rebind_error,
     BindOp,
     ExistsJoin,
     FilterOp,
@@ -878,79 +878,28 @@ def _values_join(cell_slots, encoded_rows, batch: Batch):
 
 
 def _run_group(pipeline, batch: Batch, vctx: _VecCtx):
-    """A nested GroupPipeline over a batch (OPTIONAL body, UNION branch).
-
-    The interpreter schedules filters against the variables each
-    *incoming row* binds, so rows are partitioned by entry mask (almost
-    always a single partition) and each partition runs its own memoized
-    schedule; partition outputs merge back into input-row order.
-    """
-    width = batch.width
-    if pipeline.empty and batch.n:
-        _raise_group_rebinds(pipeline, batch)
-    if pipeline.empty or batch.n == 0:
-        return _empty(width), _np.empty(0, _np.int64)
-    groups = _entry_mask_groups(pipeline, batch)
-    parts = []
-    for mask, idx in groups:
-        ops = vctx.tctx.schedule(pipeline, mask)
-        sub = _take(batch, idx) if idx is not None else batch
-        out, src = _fold(ops, sub, vctx)
-        if idx is not None and src is not None:
-            src = idx[src]
-        elif idx is not None:
-            src = idx
-        elif src is None:
-            src = _np.arange(out.n, dtype=_np.int64)
-        parts.append((out, src))
-    return _merge_parts(parts, width)
+    """A nested GroupPipeline over a batch (OPTIONAL body, UNION branch,
+    EXISTS body): the entry check, then the group's one schedule; the
+    source map sends each output row to the input row it extends."""
+    _raise_group_rebinds(pipeline, batch)
+    if pipeline.empty:
+        return _empty(batch.width), _np.empty(0, _np.int64)
+    out, src = _fold(pipeline.ops, batch, vctx)
+    if src is None:
+        src = _np.arange(out.n, dtype=_np.int64)
+    return out, src
 
 
 def _raise_group_rebinds(pipeline, batch: Batch) -> None:
-    """The rebind error an empty nested group owes a non-empty batch —
-    per-row over the tuple engine, collapsed here to a column check
-    (any row binding a BIND target aborts the query either way)."""
-    for op in pipeline.tail_ops:
+    """The group's entry check (:meth:`GroupPipeline.raise_rebinds`) for a
+    whole non-empty batch, collapsed to one column test per BIND: any
+    row binding a BIND target aborts the query either way."""
+    for op in pipeline.binds:
         if isinstance(op, _BindRebind):
-            next(op.run(iter(()), None), None)  # always raises
-        elif isinstance(op, BindOp):
-            col = batch.cols[op.slot]
-            if col is not None and bool((col != UNBOUND).any()):
-                raise QueryEvaluationError(
-                    f"BIND would rebind in-scope variable "
-                    f"{op.bind.variable.n3()}"
-                )
-
-
-def _entry_mask_groups(pipeline, batch: Batch):
-    """Partition batch rows by which filter-relevant variables they bind.
-
-    Returns ``[(mask, idx | None)]``; ``idx=None`` means all rows (the
-    common single-partition case, no gather needed).
-    """
-    items = pipeline.relevant_items
-    if not items:
-        return [(_EMPTY_MASK, None)]
-    states = [(variable, slot, batch.state(slot)) for variable, slot in items]
-    if all(state != "mixed" for _v, _s, state in states):
-        mask = frozenset(v for v, _s, state in states if state == "all")
-        return [(mask, None)]
-    keys = _np.zeros(batch.n, dtype=_np.int64)
-    for bit, (variable, slot, state) in enumerate(states):
-        if state == "all":
-            keys |= 1 << bit
-        elif state == "mixed":
-            bound = batch.cols[slot] != UNBOUND
-            keys |= bound.astype(_np.int64) << bit
-    groups = []
-    for key in _np.unique(keys).tolist():
-        idx = _np.nonzero(keys == key)[0]
-        mask = frozenset(
-            variable for bit, (variable, _s, _st) in enumerate(states)
-            if key & (1 << bit)
-        )
-        groups.append((mask, idx))
-    return groups
+            raise _rebind_error(op.bind)
+        col = batch.cols[op.slot]
+        if col is not None and bool((col != UNBOUND).any()):
+            raise _rebind_error(op.bind)
 
 
 def _run_leftjoin(op: LeftJoin, batch: Batch, vctx: _VecCtx):
@@ -1103,14 +1052,8 @@ def _run_op(op, batch: Batch, vctx: _VecCtx):
 def _fold(ops, batch: Batch, vctx: _VecCtx):
     """Run a batch through an operator schedule, composing source maps."""
     srcmap = None
-    for i, op in enumerate(ops):
+    for op in ops:
         if batch.n == 0:
-            # The tuple generators still start downstream ops on an empty
-            # stream — which matters exactly for the always-raising
-            # rebind check.  Mirror that before short-circuiting.
-            for tail_op in ops[i:]:
-                if isinstance(tail_op, _BindRebind):
-                    next(tail_op.run(iter(()), vctx.tctx), None)
             return batch, (srcmap if srcmap is not None
                            else _np.empty(0, _np.int64))
         vctx.check()
@@ -1218,12 +1161,12 @@ def collect_batches(plan, deadline, config: VecConfig | None = None,
     """All final top-level batches, in driving-scan order — the same row
     order the tuple engine produces."""
     config = config or _DEFAULT_CONFIG
+    plan.root.raise_rebinds([None] * plan.num_registers)
     if plan.empty:
-        plan.root.raise_rebinds([None] * plan.num_registers)
         return []
     if vctx is None:
         vctx = _VecCtx(plan, deadline, config)
-    ops = vctx.tctx.schedule(plan.root, _EMPTY_MASK)
+    ops = plan.root.ops
     driver = _find_driver(plan, ops)
     if driver is None:
         vctx.check()
@@ -1314,14 +1257,6 @@ def vec_rows(plan, variables, deadline, config: VecConfig | None = None,
 # --------------------------------------------------------------------------
 
 
-class _NullDeadline:
-    expires_at = None
-
-    @staticmethod
-    def check() -> None:
-        return None
-
-
 def analyze_plan(plan, batch_size: int | None = None) -> dict:
     """What batched execution would do — for ``explain()`` rendering.
 
@@ -1336,9 +1271,7 @@ def analyze_plan(plan, batch_size: int | None = None) -> dict:
             "no_driver": "empty"}
     if plan is None or getattr(plan, "empty", True):
         return info
-    vctx = _VecCtx(plan, _NullDeadline(), config)
-    ops = vctx.tctx.schedule(plan.root, _EMPTY_MASK)
-    driver = _find_driver(plan, ops)
+    driver = _find_driver(plan, plan.root.ops)
     if driver is None:
         info["no_driver"] = ("buffered writes" if plan.index.pure_run(0) is None
                              else "no driving scan")

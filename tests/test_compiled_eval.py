@@ -369,6 +369,52 @@ class TestBindRebindErrors:
             assert len(evaluator.select(query)) == 1
 
 
+class TestStaticFilterPlacement:
+    """Each group's FILTERs are placed once, at lowering, against the
+    variables every incoming row binds.  The interpreter places them per
+    row, earlier for rows that bind more; a later filter keeps the same
+    rows, except in two shapes, which decline to the interpreter."""
+
+    GRAPH = [(0, 0, 1), (0, 1, 2), (0, 2, 3), (0, 3, 4), (5, 0, 1), (5, 2, 3)]
+
+    def _assert_engines_agree(self, query):
+        graph = build_graph(self.GRAPH)
+        reference = Evaluator(graph, compile=False).select(query)
+        for evaluator in (Evaluator(graph, vectorize=True, batch_size=2),
+                          Evaluator(graph, vectorize=False)):
+            assert evaluator.select(query).rows == reference.rows
+        return compile_where(graph, query.where)[1]
+
+    def test_row_dependent_place_compiles(self):
+        # ?c enters the second OPTIONAL bound in some rows only; moving
+        # the filter to the group's end prunes the same rows.
+        query = parse_query(
+            f"SELECT * WHERE {{ ?a <{EX}p0> ?b . OPTIONAL {{ ?a <{EX}p1> ?c }} "
+            f"OPTIONAL {{ ?a <{EX}p2> ?d . FILTER(?c != ?d) }} }}"
+        )
+        assert self._assert_engines_agree(query) is None
+
+    def test_undef_cell_bound_later_declines(self):
+        # The interpreter reads ?v unbound right after the step; at the
+        # group's end the inner OPTIONAL has bound it.
+        query = parse_query(
+            f"SELECT * WHERE {{ ?a <{EX}p0> ?b . OPTIONAL {{ ?a <{EX}p1> ?c }} "
+            f"OPTIONAL {{ VALUES ?v {{ UNDEF }} ?a <{EX}p2> ?d . "
+            f"OPTIONAL {{ ?a <{EX}p3> ?v }} FILTER(BOUND(?c) && !BOUND(?v)) }} }}"
+        )
+        assert self._assert_engines_agree(query) == "filter-placement"
+
+    def test_nested_rebind_behind_filter_declines(self):
+        # The interpreter drops every row binding ?c before the inner
+        # OPTIONAL, whose BIND would raise on such a row.
+        query = parse_query(
+            f"SELECT * WHERE {{ ?a <{EX}p0> ?b . OPTIONAL {{ ?a <{EX}p1> ?c }} "
+            f"OPTIONAL {{ ?a <{EX}p2> ?d . FILTER(?c = <{EX}n9>) "
+            f"OPTIONAL {{ ?a <{EX}p3> ?e . BIND(<{EX}x> AS ?c) }} }} }}"
+        )
+        assert self._assert_engines_agree(query) == "filter-placement"
+
+
 class TestPathClosureDeadline:
     """Satellite regression: a long ``broader+`` chain must hit the
     cooperative deadline *between frontier hops* in both engines."""

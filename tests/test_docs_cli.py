@@ -1,16 +1,18 @@
-"""The docs name only flags, modules and symbols that exist.
+"""The docs name only flags, modules, symbols and keys that exist.
 
 Every ``--flag`` README.md and DESIGN.md mention is one the CLI accepts,
-and every backticked ``repro.…`` path or ``file.py::symbol`` in
-README.md, DESIGN.md and benchmarks/e2e/README.md resolves by import and
-getattr.  A flag, module or symbol that is renamed or deleted but still
-written in the docs fails here, so the docs cannot keep advertising what
-the program no longer has.
+every backticked ``repro.…`` path or ``file.py::symbol`` in README.md,
+DESIGN.md and benchmarks/e2e/README.md resolves by import and getattr,
+every key they name under ``/stats`` is in the server's stats document,
+and the package docstring's quickstart runs.  A flag, module, symbol or
+key that is renamed or deleted but still written in the docs fails here,
+so the docs cannot keep advertising what the program no longer has.
 """
 
 import argparse
 import importlib
 import re
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -110,3 +112,51 @@ def test_documented_paths_resolve(name):
 def test_path_check_finds_the_documented_paths():
     # A regex that silently matched nothing would pass every doc.
     assert sum(len(doc_paths(name)) for name in PATH_DOCS) >= 15
+
+
+#: Keys the docs name under ``/stats``, each with the doc text naming it.
+STATS_KEYS = {
+    "serving": ("README.md", "/stats # serving/endpoint/tenant counters"),
+    "endpoint": ("README.md", "/stats # serving/endpoint/tenant counters"),
+    "tenants": ("README.md", "/stats # serving/endpoint/tenant counters"),
+    "durability": ("README.md",
+                   "`/stats` endpoint reports WAL and recovery counters "
+                   "under `durability`"),
+    "durability.recovery": ("DESIGN.md",
+                            "`/stats` under `durability.recovery`"),
+}
+
+
+def test_documented_stats_keys_exist(tmp_path):
+    from repro.rdf import IRI, Triple
+    from repro.server.app import ReproServer
+    from repro.serving import QueryService
+    from repro.store import Endpoint, Graph
+
+    graph = Graph.open_durable(tmp_path / "kg", fsync=False)
+    graph.add(Triple(IRI("http://example.org/s"), IRI("http://example.org/p"),
+                     IRI("http://example.org/o")))
+    service = QueryService(Endpoint(graph), workers=1)
+    try:
+        assert service.submit("ASK { ?s ?p ?o }").result()
+        document = ReproServer(service).stats_document()
+    finally:
+        service.shutdown()
+        graph.close()
+    for key, (name, phrase) in STATS_KEYS.items():
+        text = " ".join((ROOT / name).read_text(encoding="utf-8").split())
+        assert phrase in text, f"{name} no longer says {phrase!r}"
+        node = document
+        for part in key.split("."):
+            assert part in node, f"/stats has no {key!r}, which {name} names"
+            node = node[part]
+    assert document["tenants"], "/stats lists no tenant counters"
+
+
+def test_package_quickstart_runs(capsys):
+    import repro
+
+    doc = repro.__doc__
+    block = doc[doc.index("Quickstart::") + len("Quickstart::"):]
+    exec(compile(textwrap.dedent(block), "repro.__doc__", "exec"), {})
+    assert capsys.readouterr().out.strip(), "the quickstart printed no candidate"

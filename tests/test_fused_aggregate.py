@@ -96,6 +96,11 @@ AGG_QUERIES = [
     f"SELECT DISTINCT (COUNT(*) AS ?c) WHERE {{ {BODY} }} GROUP BY ?d",
     # Two group keys.
     f"SELECT ?d ?v (COUNT(*) AS ?c) WHERE {{ {BODY} }} GROUP BY ?d ?v",
+    # Expressions over aggregates: arithmetic, and a function call (the
+    # term-space path resolves its aggregates before evaluating it).
+    f"SELECT ?d ((SUM(?v) * 2) AS ?x) WHERE {{ {BODY} }} GROUP BY ?d",
+    f"SELECT ?d (IF(SUM(?v) > 2, MIN(?v), MAX(?v)) AS ?x) WHERE {{ {BODY} }} "
+    f"GROUP BY ?d",
 ]
 
 

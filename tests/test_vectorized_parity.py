@@ -12,9 +12,9 @@ surface to the two reference engines over random cubes:
   batch-boundary path;
 * the operator zoo: OPTIONAL (with inner filters), UNION, VALUES,
   property paths, repeated variables, numeric FILTERs both ways,
-  grouped aggregates, and the formerly-declining shapes — BIND
-  (including error rows), EXISTS/NOT EXISTS, MINUS, and nested
-  subqueries (plain, DISTINCT and aggregate).
+  grouped aggregates, COALESCE/IF in FILTER and BIND, and the
+  formerly-declining shapes — BIND (including error rows), EXISTS/NOT
+  EXISTS, MINUS, and nested subqueries (plain, DISTINCT and aggregate).
 
 Besides the Hypothesis draws, every query runs once over a fixed cube in
 each store state, so no shape depends on the draw to be reached.
@@ -133,6 +133,16 @@ QUERIES = [
     f"SELECT ?b WHERE {{ <{EX}n1> <{EX}p0>+ ?b }}",
     f"SELECT ?a WHERE {{ ?a <{EX}p1>* ?a }}",
     f"SELECT ?a ?b WHERE {{ ?a <{EX}p1> ?b . ?a ^<{EX}p0>* ?b }}",
+    # COALESCE and IF over an OPTIONAL register, in FILTER and in BIND:
+    # an unbound argument errors, and COALESCE/IF catch or pass it on
+    f"SELECT ?a ?v WHERE {{ ?a <{EX}p0> ?b . "
+    f"OPTIONAL {{ ?b <{EX}value> ?v }} FILTER(COALESCE(?v, 0) < 30) }}",
+    f"SELECT ?a ?v WHERE {{ ?a <{EX}p0> ?b . "
+    f"OPTIONAL {{ ?b <{EX}value> ?v }} FILTER(IF(BOUND(?v), ?v >= 20, ?a != ?b)) }}",
+    f"SELECT ?a ?w WHERE {{ ?a <{EX}p0> ?b . "
+    f"OPTIONAL {{ ?b <{EX}value> ?v }} BIND(COALESCE(?v, ?b) AS ?w) }}",
+    f"SELECT ?a ?w WHERE {{ ?a <{EX}p0> ?b . "
+    f"OPTIONAL {{ ?b <{EX}value> ?v }} BIND(IF(?v >= 20, \"hi\", \"lo\") AS ?w) }}",
 ]
 
 AGG_QUERIES = [
