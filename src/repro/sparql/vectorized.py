@@ -831,8 +831,8 @@ def _run_path(op: PathClosure, batch: Batch, vctx: _VecCtx):
 
 
 def _run_values(op: ValuesBind, batch: Batch, vctx: _VecCtx):
-    """VALUES join: per value row, a compatibility mask + overridden
-    columns; outputs interleaved back into (row, value-row) order."""
+    """VALUES join: the batch rows joined with the compile-time-encoded
+    rows in one key join (:func:`_values_join`)."""
     return _values_join(op.cell_slots, op.encoded_rows, batch)
 
 
@@ -844,37 +844,103 @@ def _run_subquery(op: SubqueryScan, batch: Batch, vctx: _VecCtx):
 
 
 def _values_join(cell_slots, encoded_rows, batch: Batch):
-    """Shared VALUES/subquery join core (see :func:`_run_values`)."""
-    n = batch.n
+    """Shared VALUES/subquery join core: one key join of the batch rows
+    with the encoded rows.
+
+    Output rows come by batch row, then by VALUES row, as the tuple
+    engine's nested loop yields them.  A batch row and a VALUES row join
+    when they agree on every slot both bind; an UNDEF cell or an unbound
+    register agrees with anything, and the VALUES row fills what the
+    batch row leaves unbound.
+    """
     width = batch.width
-    parts = []
-    for value_row in encoded_rows:
-        mask = _np.ones(n, dtype=bool)
-        override: dict[int, tuple] = {}
-        for slot, value_id in zip(cell_slots, value_row):
-            if value_id is None:  # UNDEF leaves the register as-is
+    slots, values = _value_columns(cell_slots, encoded_rows)
+    if not batch.n or not len(values):
+        return _empty(width), _np.empty(0, _np.int64)
+    keyed = [j for j, slot in enumerate(slots) if batch.cols[slot] is not None]
+    left = _np.stack([batch.cols[slots[j]] for j in keyed], axis=1) \
+        if keyed else _np.empty((batch.n, 0), _np.int64)
+    right = values[:, keyed]
+    # Rows binding the same key slots join on exactly the slots both sides
+    # bind: one equi-join per pair of such patterns (bit k: slot k bound).
+    bits = _np.int64(1) << _np.arange(len(keyed), dtype=_np.int64)
+    left_pattern = (left != UNBOUND) @ bits
+    right_pattern = (right != UNBOUND) @ bits
+    pairs = []
+    for lp in set(left_pattern.tolist()):
+        lrows = _np.nonzero(left_pattern == lp)[0]
+        for rp in set(right_pattern.tolist()):
+            rrows = _np.nonzero(right_pattern == rp)[0]
+            on = [j for j in range(len(keyed)) if (lp & rp) >> j & 1]
+            pairs.append(_equi_join(left[lrows][:, on], lrows,
+                                    right[rrows][:, on], rrows))
+    rows = _np.concatenate([p[0] for p in pairs])
+    picks = _np.concatenate([p[1] for p in pairs])
+    if not len(rows):
+        return _empty(width), _np.empty(0, _np.int64)
+    if len(pairs) > 1:  # one join's pairs come in order already
+        order = _np.lexsort((picks, rows))
+        rows, picks = rows[order], picks[order]
+    out = _take(batch, rows)
+    for j, slot in enumerate(slots):
+        cells = values[picks, j]
+        col = out.cols[slot]
+        if col is None:
+            if bool((cells == UNBOUND).all()):
                 continue
-            col = batch.cols[slot]
-            if col is None:
-                override[slot] = ("fill", value_id)
-            else:
-                unbound = col == UNBOUND
-                mask &= unbound | (col == value_id)
-                if bool(unbound.any()):
-                    override[slot] = ("where", value_id)
-        idx = _np.nonzero(mask)[0]
-        if not len(idx):
-            continue
-        part = _take(batch, idx)
-        for slot, (how, value_id) in override.items():
-            if how == "fill":
-                part.cols[slot] = _np.full(len(idx), value_id, dtype=_np.int64)
-            else:
-                col = part.cols[slot]
-                part.cols[slot] = _np.where(col == UNBOUND, value_id, col)
-            part._states.pop(slot, None)
-        parts.append((part, idx))
-    return _merge_parts(parts, width)
+            out.cols[slot] = cells
+        else:
+            out.cols[slot] = _np.where(col == UNBOUND, cells, col)
+    return out, rows
+
+
+def _value_columns(cell_slots, encoded_rows):
+    """The distinct slots of ``cell_slots`` and the encoded rows as an
+    int64 matrix over them, UNDEF as :data:`UNBOUND`.
+
+    A slot named twice reads as one cell holding its defined value; a row
+    giving it two different values joins nothing and is dropped.
+    """
+    slots = list(dict.fromkeys(cell_slots))
+    position = {slot: j for j, slot in enumerate(slots)}
+    matrix = []
+    for encoded in encoded_rows:
+        row = [UNBOUND] * len(slots)
+        for slot, value_id in zip(cell_slots, encoded):
+            if value_id is None:
+                continue
+            j = position[slot]
+            if row[j] == UNBOUND:
+                row[j] = value_id
+            elif row[j] != value_id:
+                break
+        else:
+            matrix.append(row)
+    values = _np.array(matrix, dtype=_np.int64).reshape(len(matrix), len(slots))
+    return slots, values
+
+
+def _equi_join(left_keys, left_rows, right_keys, right_rows):
+    """``(left row, right row)`` pairs of equal keys (one int64 key column
+    per slot; no columns joins everything), by right row within a left
+    row."""
+    width = left_keys.shape[1]
+    if not width:
+        return (_np.repeat(left_rows, len(right_rows)),
+                _np.tile(right_rows, len(left_rows)))
+    # Each key row as one opaque value: sorting and searching compare
+    # its bytes, an order that serves equality on any number of columns.
+    key = _np.dtype((_np.void, 8 * width))
+    left_codes = _np.ascontiguousarray(left_keys).view(key).ravel()
+    right_codes = _np.ascontiguousarray(right_keys).view(key).ravel()
+    order = _np.argsort(right_codes, kind="stable")
+    sorted_codes = right_codes[order]
+    lo = _np.searchsorted(sorted_codes, left_codes, "left")
+    counts = _np.searchsorted(sorted_codes, left_codes, "right") - lo
+    total = int(counts.sum())
+    starts = _np.repeat(lo - _np.cumsum(counts) + counts, counts)
+    picks = order[starts + _np.arange(total)]
+    return _np.repeat(left_rows, counts), right_rows[picks]
 
 
 def _run_group(pipeline, batch: Batch, vctx: _VecCtx):

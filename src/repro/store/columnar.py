@@ -25,7 +25,7 @@ from typing import Iterable
 
 import numpy as _np
 
-__all__ = ["Run", "EMPTY_RUN", "merge_run"]
+__all__ = ["Run", "EMPTY_RUN", "build_runs", "group_starts"]
 
 _EMPTY_MV = memoryview(array("q"))
 _ZERO_STARTS = memoryview(array("q", [0]))
@@ -140,15 +140,18 @@ def _first_key_offsets(a) -> memoryview:
     return memoryview(starts)
 
 
+def _sorted_run(a, b, c) -> Run:
+    """A run over non-empty, already sorted contiguous numpy columns."""
+    return Run(memoryview(a), memoryview(b), memoryview(c),
+               _first_key_offsets(a), (a, b, c))
+
+
 def _finish(a, b, c) -> Run:
     """Sort non-empty numpy columns lexicographically and attach offsets."""
     order = _np.lexsort((c, b, a))
-    a = _np.ascontiguousarray(a[order])
-    b = _np.ascontiguousarray(b[order])
-    c = _np.ascontiguousarray(c[order])
-    owner = (a, b, c)
-    return Run(memoryview(a), memoryview(b), memoryview(c),
-               _first_key_offsets(a), owner)
+    return _sorted_run(_np.ascontiguousarray(a[order]),
+                       _np.ascontiguousarray(b[order]),
+                       _np.ascontiguousarray(c[order]))
 
 
 def build_run_from_columns(a, b, c) -> Run:
@@ -162,27 +165,29 @@ def build_run_from_columns(a, b, c) -> Run:
     return Run(a, b, c, _first_key_offsets(_np.frombuffer(a, dtype=_np.int64)))
 
 
-def merge_run(run: Run, added, dead_rows: list[int]) -> Run:
-    """Merge delta rows into a run, dropping tombstoned row indices.
+def group_starts(*columns):
+    """Boolean mask of the rows of sorted, non-empty columns that open a
+    new group of equal values across all of ``columns``."""
+    first = columns[0]
+    mask = _np.empty(len(first), dtype=bool)
+    mask[0] = True
+    changed = first[1:] != first[:-1]
+    for col in columns[1:]:
+        changed |= col[1:] != col[:-1]
+    mask[1:] = changed
+    return mask
 
-    ``added`` is three equal-length int64 columns (in this run's key
-    order) of rows in arbitrary order; ``dead_rows`` are row indices
-    *within this run* (each dead triple's position found via
-    :meth:`Run.find` by the caller).
-    """
-    n = run.n
-    if n:
-        a, b, c, _starts = run.as_numpy()
-        if dead_rows:
-            keep = _np.ones(n, dtype=bool)
-            keep[dead_rows] = False
-            a, b, c = a[keep], b[keep], c[keep]
-    else:
-        a = b = c = _np.empty(0, dtype=_np.int64)
-    if len(added[0]):
-        a = _np.concatenate([a, added[0]])
-        b = _np.concatenate([b, added[1]])
-        c = _np.concatenate([c, added[2]])
-    if not len(a):
-        return EMPTY_RUN
-    return _finish(a, b, c)
+
+def build_runs(s, p, o) -> tuple[Run, Run, Run]:
+    """The (SPO, POS, OSP) runs over the distinct rows of three int64
+    columns given in any order, with any repeats: one ``lexsort`` per
+    permutation."""
+    if not len(s):
+        return EMPTY_RUN, EMPTY_RUN, EMPTY_RUN
+    spo = _finish(s, p, o)
+    s, p, o, _starts = spo.as_numpy()
+    distinct = group_starts(s, p, o)
+    if not distinct.all():
+        spo = _sorted_run(s[distinct], p[distinct], o[distinct])
+        s, p, o, _starts = spo.as_numpy()
+    return spo, _finish(p, o, s), _finish(o, s, p)

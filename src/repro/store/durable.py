@@ -47,11 +47,12 @@ from __future__ import annotations
 
 import os
 import re
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from ..errors import SnapshotError, WALError
-from ..rdf.terms import IRI, Node
+from ..rdf.terms import IRI
 from ..rdf.triple import Triple
 from .graph import Graph
 from .snapshot import decode_term, encode_term, load_snapshot, save_snapshot
@@ -60,6 +61,7 @@ from .wal import (
     OP_ADD,
     OP_REMOVE,
     WalWriter,
+    encode_field,
     replay_wal,
 )
 
@@ -75,9 +77,10 @@ _SNAP_PATTERN = re.compile(r"^snap-(\d{8})-(\d{16})\.snap$")
 #: meaningful: the newest may be corrupt, the previous must still boot.
 DEFAULT_RETAIN = 2
 
-#: Bound on the encoded-term memo the WAL write path keeps (terms repeat
-#: heavily in cube data; the memo turns re-encoding into a dict hit).
-_ENCODE_CACHE_LIMIT = 1 << 16
+#: Bound on the id -> record field memo the batched WAL write path keeps
+#: (terms repeat heavily in cube data; the memo turns re-encoding into a
+#: dict hit on an int).
+_FIELD_CACHE_LIMIT = 1 << 16
 
 
 def _snapshot_name(generation: int, wal_start: int) -> str:
@@ -132,7 +135,7 @@ class DurableGraph(Graph):
     __slots__ = (
         "_directory", "_wal", "_generation", "_retain", "_recovery",
         "_opener", "_verify", "_auto_checkpoint", "_since_checkpoint",
-        "_encode_cache", "_closed",
+        "_fields", "_closed",
     )
 
     # -- construction / recovery -------------------------------------------
@@ -209,7 +212,7 @@ class DurableGraph(Graph):
         graph._verify = verify
         graph._auto_checkpoint = auto_checkpoint
         graph._since_checkpoint = 0
-        graph._encode_cache = {}
+        graph._fields = {}
         graph._closed = False
         graph._wal = None
 
@@ -287,22 +290,26 @@ class DurableGraph(Graph):
 
     # -- the WAL-before-apply write path ------------------------------------
 
-    def _encode(self, term: Node) -> bytes:
-        cache = self._encode_cache
-        encoded = cache.get(term)
+    def _field(self, term_id: int) -> bytes:
+        """The WAL record field of a dictionary id, memoized."""
+        memo = self._fields
+        encoded = memo.get(term_id)
         if encoded is None:
-            encoded = encode_term(term)
-            if len(cache) >= _ENCODE_CACHE_LIMIT:
-                cache.clear()
-            cache[term] = encoded
+            encoded = encode_field(encode_term(self._terms.decode(term_id)))
+            if len(memo) >= _FIELD_CACHE_LIMIT:
+                memo.clear()
+            memo[term_id] = encoded
         return encoded
 
-    def _log(self, op: bytes, triple: Triple) -> None:
+    def _log(self, op: bytes, rows: Iterable[tuple[bytes, bytes, bytes]]) -> None:
         if self._closed:
             raise WALError("this durable graph is closed")
-        self._wal.append(
-            op, self._encode(triple.s), self._encode(triple.p), self._encode(triple.o)
-        )
+        self._wal.append_fields(op, rows)
+
+    def _log_triple(self, op: bytes, triple: Triple) -> None:
+        self._log(op, ((encode_field(encode_term(triple.s)),
+                        encode_field(encode_term(triple.p)),
+                        encode_field(encode_term(triple.o))),))
 
     def _note_writes(self, count: int) -> None:
         self._since_checkpoint += count
@@ -313,30 +320,39 @@ class DurableGraph(Graph):
             self.checkpoint()
 
     def add(self, triple: Triple) -> bool:
-        self._log(OP_ADD, triple)
+        self._log_triple(OP_ADD, triple)
         self._wal.sync()
         added = Graph.add(self, triple)
         self._note_writes(1)
         return added
 
     def add_all(self, triples: Iterable[Triple]) -> int:
-        """Insert many triples under a single fsync (group commit)."""
-        batch = list(triples)
-        for triple in batch:
-            self._log(OP_ADD, triple)
-        if not batch:
+        """Insert many triples under a single fsync (group commit).
+
+        The batch is encoded to id columns once: the WAL records are
+        written from them, then the index takes them.  New terms enter
+        the dictionary before the log write, so a batch whose iterator
+        or log write fails can leave terms without a triple (none is
+        added); after a failed write the log is poisoned, and a reopen
+        rebuilds the store from disk.
+        """
+        columns = (array("q"), array("q"), array("q"))
+        self._encode_all(triples, columns)
+        if not len(columns[0]):
             return 0
+        hit, encode = self._fields.get, self._field
+        # Record fields are never empty, so a memo hit is truthy.
+        self._log(OP_ADD, (
+            (hit(s) or encode(s), hit(p) or encode(p), hit(o) or encode(o))
+            for s, p, o in zip(*columns)
+        ))
         self._wal.sync()
-        added = 0
-        for triple in batch:
-            if Graph.add(self, triple):
-                added += 1
-        self._index.settle()
-        self._note_writes(len(batch))
+        added = self._add_ids(*columns)
+        self._note_writes(len(columns[0]))
         return added
 
     def remove(self, triple: Triple) -> bool:
-        self._log(OP_REMOVE, triple)
+        self._log_triple(OP_REMOVE, triple)
         self._wal.sync()
         removed = Graph.remove(self, triple)
         self._note_writes(1)

@@ -8,10 +8,11 @@ index maintenance to :class:`TripleIndex`.
 
 from __future__ import annotations
 
+from array import array
 from itertools import count
 from typing import IO, Iterable, Iterator
 
-from ..rdf.ntriples import parse_ntriples, serialize_ntriples
+from ..rdf.ntriples import parse_ntriples_ids, serialize_ntriples
 from ..rdf.terms import IRI, Literal, Node
 from ..rdf.triple import Triple
 from ..rdf.turtle import parse_turtle
@@ -129,14 +130,31 @@ class Graph:
     def add_all(self, triples: Iterable[Triple]) -> int:
         """Insert many triples; returns the number actually added.
 
-        A bulk write ends settled (:meth:`TripleIndex.settle`): a load
-        that is large next to the graph leaves sorted runs, not a delta.
+        The terms are encoded into three id columns and inserted in one
+        :meth:`TripleIndex.add_batch`: a load that is large next to the
+        graph merges straight into sorted runs.  If ``triples`` raises,
+        the triples before the failing one are still added.
         """
-        added = 0
+        columns = (array("q"), array("q"), array("q"))
+        try:
+            self._encode_all(triples, columns)
+        finally:
+            added = self._add_ids(*columns)
+        return added
+
+    def _encode_all(self, triples: Iterable[Triple], columns) -> None:
+        """Append the term ids of ``triples`` to three id columns."""
+        encode = self._terms.encode
+        add_s, add_p, add_o = (col.append for col in columns)
         for triple in triples:
-            if self.add(triple):
-                added += 1
-        self._index.settle()
+            add_s(encode(triple.s))
+            add_p(encode(triple.p))
+            add_o(encode(triple.o))
+
+    def _add_ids(self, s, p, o) -> int:
+        """Insert id columns; every bulk write ends here."""
+        added = self._index.add_batch(s, p, o)
+        self._epoch += added
         return added
 
     def remove(self, triple: Triple) -> bool:
@@ -274,7 +292,10 @@ class Graph:
 
     @classmethod
     def from_ntriples(cls, source: str | IO[str], name: IRI | None = None) -> "Graph":
-        return cls(name=name, triples=parse_ntriples(source))
+        """Load an N-Triples document with no :class:`Triple` per line."""
+        graph = cls(name=name)
+        graph._add_ids(*parse_ntriples_ids(source, graph._terms.encode))
+        return graph
 
     @classmethod
     def from_turtle(cls, text: str, name: IRI | None = None) -> "Graph":

@@ -15,7 +15,9 @@ columns with a CSR offset array over the first key, plus an append-side
 of run-resident triples.  Writes land in the delta; once delta +
 tombstones outgrow a threshold proportional to the run, everything
 merges into a fresh run (amortized O(n) total merge work over an
-n-triple ingest).  Reads consult the run via O(1) offset lookups +
+n-triple ingest); a bulk write large next to the run
+(:meth:`TripleIndex.add_batch`) skips the delta and merges its id
+columns directly.  Reads consult the run via O(1) offset lookups +
 bounded binary searches and overlay the delta.  Runs can be mmap-backed
 (see :mod:`repro.store.snapshot`), which makes bootstrap O(file open).
 
@@ -46,7 +48,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as _np
 
 from ..rdf.terms import Literal, Node
-from .columnar import EMPTY_RUN, Run, merge_run
+from .columnar import EMPTY_RUN, Run, build_runs, group_starts
 
 __all__ = [
     "MALFORMED",
@@ -59,8 +61,8 @@ __all__ = [
     "PredicateStats",
 ]
 
-#: Flush the delta buffer into the sorted runs past this many buffered
-#: mutations (or earlier, once it outgrows a quarter of the run).
+#: Flush the delta buffer into the sorted runs once it holds this many
+#: buffered mutations *and* at least a quarter of the run's rows.
 DEFAULT_FLUSH_THRESHOLD = 65536
 
 
@@ -428,8 +430,8 @@ class DictTripleIndex:
         )
 
 
-#: Column permutations of an SPO tuple for the three runs.
-_PERMS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+#: No rows, as the ``(s, p, o)`` columns of a batch.
+_NO_ROWS = (_np.empty(0, dtype=_np.int64),) * 3
 
 
 class TripleIndex:
@@ -446,9 +448,11 @@ class TripleIndex:
     ``flush()`` merges delta and tombstones into fresh runs; it triggers
     automatically once ``delta + tombstones`` exceeds
     ``max(flush_threshold, run_rows // 4)``, which keeps total merge work
-    amortized-linear over an ingest.  Bulk writers end with
-    :meth:`settle`, which drops the ``flush_threshold`` floor and merges
-    the tail of a write that flushed automatically.
+    amortized-linear over an ingest.  Bulk writes go through
+    :meth:`add_batch`, which merges a batch that reaches a quarter of the
+    run in one step and settles a smaller one (:meth:`settle` drops the
+    ``flush_threshold`` floor and merges the tail of a write that flushed
+    automatically).
     """
 
     __slots__ = (
@@ -658,25 +662,62 @@ class TripleIndex:
         self._maybe_flush()
         return True
 
+    def add_batch(self, s, p, o) -> int:
+        """Insert the rows of three id columns; returns how many were new.
+
+        A batch that, with the pending mutations, reaches a quarter of the
+        run (the rule :meth:`settle` applies) merges with them into fresh
+        runs in one step: no delta entry per row.  A smaller write on a
+        large run goes row by row into the delta, then settles.
+        """
+        s, p, o = (_np.asarray(col, dtype=_np.int64) for col in (s, p, o))
+        n = len(s)
+        if not n or n + self.pending_mutations < self._runs[0].n >> 2:
+            add = self.add
+            added = 0
+            for row in zip(s.tolist(), p.tolist(), o.tolist()):
+                if add(*row):
+                    added += 1
+            self.settle()
+            return added
+        before = self._size
+        self._merge((s, p, o))
+        self._auto_flushed = False
+        return self._size - before
+
     def flush(self) -> None:
         """Merge the delta buffer and tombstones into fresh sorted runs."""
-        if not self._delta_size and not self._dead:
-            return
-        # Flat per-position lists: no tuple per triple.
-        columns: tuple[list, list, list] = ([], [], [])
-        for s, by_p in self._dspo.items():
-            for p, objs in by_p.items():
-                columns[0].extend([s] * len(objs))
-                columns[1].extend([p] * len(objs))
-                columns[2].extend(objs)
-        delta = [_np.array(col, dtype=_np.int64) for col in columns]
-        dead = self._dead
-        new_runs = []
-        for (i, j, k), run in zip(_PERMS, self._runs):
-            added = (delta[i], delta[j], delta[k])
-            dead_rows = [run.find(t[i], t[j], t[k]) for t in dead]
-            new_runs.append(merge_run(run, added, dead_rows))
-        self._runs = new_runs
+        if self._delta_size or self._dead:
+            self._merge(_NO_ROWS)
+
+    def _merge(self, batch) -> None:
+        """Rebuild the runs from the live rows plus the ``batch`` columns
+        (duplicates and tombstoned rows among them are fine), then the
+        catalog from the runs."""
+        parts: tuple[list, list, list] = ([], [], [])
+        run = self._runs[0]
+        if run.n:
+            a, b, c, _starts = run.as_numpy()
+            if self._dead:
+                keep = _np.ones(run.n, dtype=bool)
+                keep[[run.find(*key) for key in self._dead]] = False
+                a, b, c = a[keep], b[keep], c[keep]
+            for part, col in zip(parts, (a, b, c)):
+                part.append(col)
+        if self._delta_size:
+            # Flat per-position lists: no tuple per triple.
+            delta: tuple[list, list, list] = ([], [], [])
+            for s, by_p in self._dspo.items():
+                for p, objs in by_p.items():
+                    delta[0].extend([s] * len(objs))
+                    delta[1].extend([p] * len(objs))
+                    delta[2].extend(objs)
+            for part, col in zip(parts, delta):
+                part.append(_np.array(col, dtype=_np.int64))
+        for part, col in zip(parts, batch):
+            part.append(col)
+        self._runs = list(build_runs(*(_np.concatenate(part) for part in parts)))
+        self._size = self._runs[0].n
         self._dspo = {}
         self._dpos = {}
         self._dosp = {}
@@ -688,6 +729,35 @@ class TripleIndex:
         self._dead_s = {}
         self._dead_p = {}
         self._dead_o = {}
+        self._recount(batch[1])
+
+    def _recount(self, new_p) -> None:
+        """The predicate catalog, computed from the runs.
+
+        Its rows keep the order a row-by-row load gives them (snapshots
+        write them in it): the predicates already counted, then those first
+        met in ``new_p``, by first occurrence.
+        """
+        order = list(self._p_counts)
+        if len(new_p):
+            known = self._p_counts
+            pids, first = _np.unique(new_p, return_index=True)
+            order.extend(pid for _first, pid in sorted(zip(first.tolist(), pids.tolist()))
+                         if pid not in known)
+        spo, pos, _osp = self._runs
+        if not spo.n:
+            self._p_counts, self._p_subjects, self._p_objects = {}, {}, {}
+            return
+        s, p, _o, _starts = spo.as_numpy()
+        pp, po, _ps, starts = pos.as_numpy()
+        ids = _np.array(order, dtype=_np.int64)
+        width = len(starts) - 1
+        triples = _np.diff(starts)[ids].tolist()
+        subjects = _np.bincount(p[group_starts(s, p)], minlength=width)[ids].tolist()
+        objects = _np.bincount(pp[group_starts(pp, po)], minlength=width)[ids].tolist()
+        self._p_counts = dict(zip(order, triples))
+        self._p_subjects = dict(zip(order, subjects))
+        self._p_objects = dict(zip(order, objects))
 
     # -- loading ------------------------------------------------------------
 

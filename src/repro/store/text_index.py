@@ -30,6 +30,31 @@ def tokenize(text: str) -> list[str]:
     return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 
+def _literal_rows(graph) -> Iterator[tuple[Node, IRI, Literal]]:
+    """``graph``'s ⟨s, p, literal⟩ triples in its triple order.
+
+    A graph, or a view backed by one, is read as id rows: each distinct
+    object id is tested for literal kind once, and only the literal rows
+    are decoded.  A multi-graph union has no shared id space, so it walks
+    its triples.
+    """
+    backing = graph.backing_graph() if hasattr(graph, "backing_graph") else graph
+    store = getattr(backing, "triple_index", None)
+    if store is None:
+        for triple in graph.triples():
+            if isinstance(triple.o, Literal):
+                yield triple.s, triple.p, triple.o
+        return
+    decode = backing.term_dictionary.decode
+    literal_ids: dict[int, bool] = {}
+    for s, p, o in store.match(None, None, None):
+        is_literal = literal_ids.get(o)
+        if is_literal is None:
+            is_literal = literal_ids[o] = isinstance(decode(o), Literal)
+        if is_literal:
+            yield decode(s), decode(p), decode(o)
+
+
 class TextIndex:
     """Inverted index over literal objects of a graph.
 
@@ -56,9 +81,8 @@ class TextIndex:
     def from_graph(cls, graph) -> "TextIndex":
         """Index every ⟨s, p, literal⟩ triple of ``graph`` (or graph view)."""
         index = cls()
-        for triple in graph.triples():
-            if isinstance(triple.o, Literal):
-                index.index_triple(triple.s, triple.p, triple.o)
+        for subject, predicate, literal in _literal_rows(graph):
+            index.index_triple(subject, predicate, literal)
         return index
 
     def index_triple(self, subject: Node, predicate: IRI, literal: Literal) -> None:

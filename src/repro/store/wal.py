@@ -51,7 +51,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from ..errors import WALError
 
@@ -60,7 +60,7 @@ __all__ = [
     "WalRecord",
     "WalReplayReport",
     "WalWriter",
-    "encode_record",
+    "encode_field",
     "replay_wal",
     "segment_name",
     "segment_path",
@@ -140,12 +140,9 @@ class WalRecord:
     o: bytes
 
 
-def encode_record(op: bytes, s: bytes, p: bytes, o: bytes) -> bytes:
-    """Frame one mutation: length + CRC + self-contained payload."""
-    payload = b"".join(
-        (op, _U32.pack(len(s)), s, _U32.pack(len(p)), p, _U32.pack(len(o)), o)
-    )
-    return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
+def encode_field(term: bytes) -> bytes:
+    """One encoded term as a record field: u32 length + bytes."""
+    return _U32.pack(len(term)) + term
 
 
 def _decode_payload(payload: bytes, where: str) -> WalRecord:
@@ -356,14 +353,30 @@ class WalWriter:
 
     def append(self, op: bytes, s: bytes, p: bytes, o: bytes) -> None:
         """Buffer one record; durable only after the next :meth:`sync`."""
+        self.append_fields(op, ((encode_field(s), encode_field(p), encode_field(o)),))
+
+    def append_fields(self, op: bytes, rows: Iterable[tuple[bytes, bytes, bytes]]) -> None:
+        """Buffer one record per row of three :func:`encode_field` fields,
+        in order, rotating before any record that finds the segment full;
+        durable only after the next :meth:`sync`.  A record is framed as
+        length + CRC32 + payload (op byte, then the fields)."""
         self._check()
-        if self._position >= self._segment_bytes:
-            self.rotate()
-        record = encode_record(op, s, p, o)
-        self._guard(lambda: self._handle.write(record))
-        self._position += len(record)
-        self.records_appended += 1
-        self.bytes_appended += len(record)
+        frame, crc32 = _FRAME.pack, zlib.crc32
+        write = self._handle.write
+        try:
+            for s, p, o in rows:
+                if self._position >= self._segment_bytes:
+                    self.rotate()
+                    write = self._handle.write
+                payload = b"".join((op, s, p, o))
+                record = frame(len(payload), crc32(payload)) + payload
+                write(record)
+                self._position += len(record)
+                self.records_appended += 1
+                self.bytes_appended += len(record)
+        except OSError as exc:  # poison, as _guard does
+            self._poisoned = str(exc)
+            raise WALError(f"write-ahead log I/O failed: {exc}") from exc
 
     def sync(self) -> None:
         """Flush buffered records to the OS and (by default) to disk.

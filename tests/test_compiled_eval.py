@@ -337,7 +337,7 @@ class TestBindRebindErrors:
 
     def test_row_dependent_rebind_raises(self):
         # ?b enters the OPTIONAL group bound by the incoming row — a
-        # per-row property, substituted into the schedule via entry mask.
+        # per-row property, caught by the group's entry check.
         graph = build_graph([(0, 0, 1), (0, 1, 2)])
         query = parse_query(
             f"SELECT * WHERE {{ ?a <{EX}p0> ?b . "
@@ -349,8 +349,8 @@ class TestBindRebindErrors:
 
     def test_row_dependent_rebind_raises_on_empty_inner_match(self):
         # The inner pattern matches nothing, but the rebind still raises:
-        # tuple generators raise on first pull, and the batched fold
-        # checks the schedule tail before its empty-batch short-circuit.
+        # both engines run the group's entry check on the incoming rows
+        # before any of its patterns.
         graph = build_graph([(0, 0, 1)])
         query = parse_query(
             f"SELECT * WHERE {{ ?a <{EX}p0> ?b . "
