@@ -50,7 +50,6 @@ def check_load(document: str) -> float:
     oracle = Graph()
     for triple in parse_ntriples(document):
         oracle.add(triple)
-    oracle.triple_index.settle()
     with tempfile.TemporaryDirectory() as directory:
         assert snapshot_bytes(graph, directory) == snapshot_bytes(oracle, directory)
     return fastest

@@ -94,7 +94,7 @@ def _ingest(triples) -> tuple[Graph, float, int]:
     start = time.perf_counter()
     graph = Graph()
     graph.add_all(triples)
-    graph.triple_index.flush()  # settle the delta: scans measure steady state
+    graph.triple_index.flush()  # fold level 0: scans measure steady state
     elapsed = time.perf_counter() - start
     gc.collect()
     return graph, elapsed, _rss_kb() - before

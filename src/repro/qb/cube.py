@@ -140,16 +140,18 @@ class CubeBuilder:
         rng = random.Random(self.seed)
         graph = graph if graph is not None else Graph()
         kg = StatisticalKG(self.schema, graph, n_observations)
-        pools = self._build_member_pools(rng, graph, kg)
-        self._build_hierarchy_edges(rng, graph, pools)
-        self._annotate_schema(graph, kg)
-        self._build_observations(rng, graph, kg, pools, n_observations)
-        graph.triple_index.settle()
+        graph.add_all(self._triples(rng, kg, n_observations))
         return kg
 
-    def _build_member_pools(
-        self, rng: random.Random, graph: Graph, kg: StatisticalKG
-    ) -> dict[str, list[Member]]:
+    def _triples(self, rng: random.Random, kg: StatisticalKG, n_observations: int):
+        """Every triple of the KG in generation order, filling ``kg``'s
+        bookkeeping on the way: one bulk write streams them."""
+        pools = yield from self._build_member_pools(rng, kg)
+        yield from self._build_hierarchy_edges(rng, pools)
+        yield from self._annotate_schema(kg)
+        yield from self._build_observations(rng, pools, n_observations)
+
+    def _build_member_pools(self, rng: random.Random, kg: StatisticalKG):
         """Create the member entities, one pool per distinct pool key."""
         pools: dict[str, list[Member]] = {}
         for dimension in self.schema.dimensions:
@@ -161,13 +163,11 @@ class CubeBuilder:
                             f"pool {key!r} used with sizes {len(pools[key])} and {level.size}"
                         )
                 else:
-                    pools[key] = self._generate_pool(rng, graph, key, level)
+                    pools[key] = yield from self._generate_pool(rng, key, level)
                 kg.members[(dimension.name, level.name)] = pools[key]
         return pools
 
-    def _generate_pool(
-        self, rng: random.Random, graph: Graph, key: str, level: LevelSpec
-    ) -> list[Member]:
+    def _generate_pool(self, rng: random.Random, key: str, level: LevelSpec):
         members: list[Member] = []
         for index in range(level.size):
             if level.label_values is not None:
@@ -175,13 +175,12 @@ class CubeBuilder:
             else:
                 label = f"{key.replace('_', ' ').title()} {index}"
             member = Member(self.member_iri(key, index), label)
-            graph.add(Triple(member.iri, LABEL, Literal(label)))
+            yield Triple(member.iri, LABEL, Literal(label))
             members.append(member)
         return members
 
-    def _build_hierarchy_edges(
-        self, rng: random.Random, graph: Graph, pools: dict[str, list[Member]]
-    ) -> None:
+    def _build_hierarchy_edges(self, rng: random.Random,
+                               pools: dict[str, list[Member]]):
         """Link each member to its parent(s) in the next level up.
 
         The parent assignment is a deterministic function of the *pool pair
@@ -214,47 +213,41 @@ class CubeBuilder:
                         while len(parents) < fan:
                             parents.add(upper_members[step_rng.randrange(len(upper_members))].iri)
                         for parent_iri in sorted(parents, key=lambda i: i.value):
-                            graph.add(Triple(child.iri, predicate, parent_iri))
+                            yield Triple(child.iri, predicate, parent_iri)
 
-    def _annotate_schema(self, graph: Graph, kg: StatisticalKG) -> None:
+    def _annotate_schema(self, kg: StatisticalKG):
         """Emit labels and QB/QB4OLAP typing for predicates and levels."""
         for dimension in self.schema.dimensions:
             predicate = self.dimension_predicate(dimension)
-            graph.add(Triple(predicate, LABEL, Literal(_title(dimension.predicate_local_name))))
+            yield Triple(predicate, LABEL, Literal(_title(dimension.predicate_local_name)))
             if self.annotate:
-                graph.add(Triple(predicate, TYPE, DIMENSION_PROPERTY))
+                yield Triple(predicate, TYPE, DIMENSION_PROPERTY)
             for hierarchy, level in dimension.levels():
                 level_iri = self.level_schema_iri(dimension, level)
                 kg.level_iri[(dimension.name, level.name)] = level_iri
-                graph.add(Triple(level_iri, LABEL, Literal(_title(level.name))))
+                yield Triple(level_iri, LABEL, Literal(_title(level.name)))
                 if self.annotate:
-                    graph.add(Triple(level_iri, TYPE, LEVEL_CLASS))
+                    yield Triple(level_iri, TYPE, LEVEL_CLASS)
                     for member in kg.members[(dimension.name, level.name)]:
-                        graph.add(Triple(member.iri, MEMBER_OF, level_iri))
+                        yield Triple(member.iri, MEMBER_OF, level_iri)
             if self.annotate:
                 for hierarchy in dimension.hierarchies:
                     for step in range(len(hierarchy.levels) - 1):
                         lower = self.level_schema_iri(dimension, hierarchy.levels[step])
                         upper = self.level_schema_iri(dimension, hierarchy.levels[step + 1])
-                        graph.add(Triple(lower, ROLLS_UP_TO, upper))
+                        yield Triple(lower, ROLLS_UP_TO, upper)
             for hierarchy in dimension.hierarchies:
                 for name in hierarchy.rollup_names:
                     predicate = self.rollup_predicate(name)
-                    graph.add(Triple(predicate, LABEL, Literal(_title(name))))
+                    yield Triple(predicate, LABEL, Literal(_title(name)))
         for measure in self.schema.measures:
             predicate = self.measure_predicate(measure)
-            graph.add(Triple(predicate, LABEL, Literal(_title(measure.name))))
+            yield Triple(predicate, LABEL, Literal(_title(measure.name)))
             if self.annotate:
-                graph.add(Triple(predicate, TYPE, MEASURE_PROPERTY))
+                yield Triple(predicate, TYPE, MEASURE_PROPERTY)
 
-    def _build_observations(
-        self,
-        rng: random.Random,
-        graph: Graph,
-        kg: StatisticalKG,
-        pools: dict[str, list[Member]],
-        n_observations: int,
-    ) -> None:
+    def _build_observations(self, rng: random.Random,
+                            pools: dict[str, list[Member]], n_observations: int):
         dim_predicates = [
             (self.dimension_predicate(d), pools[d.base_level.pool_key])
             for d in self.schema.dimensions
@@ -265,10 +258,10 @@ class CubeBuilder:
         ]
         for index in range(n_observations):
             obs = self.observation_iri(index)
-            graph.add(Triple(obs, TYPE, OBSERVATION_CLASS))
+            yield Triple(obs, TYPE, OBSERVATION_CLASS)
             for predicate, members in dim_predicates:
                 member = members[rng.randrange(len(members))]
-                graph.add(Triple(obs, predicate, member.iri))
+                yield Triple(obs, predicate, member.iri)
             for predicate, measure in measure_predicates:
                 # Squared uniform: a right-skewed value distribution so
                 # top-k / percentile refinements have distinguishable tails.
@@ -277,9 +270,9 @@ class CubeBuilder:
                     literal = Literal(str(int(raw)), datatype=XSD_INTEGER)
                 else:
                     literal = Literal(repr(raw), datatype=XSD_DOUBLE)
-                graph.add(Triple(obs, predicate, literal))
+                yield Triple(obs, predicate, literal)
             for position, predicate in enumerate(attr_predicates):
-                graph.add(Triple(obs, predicate, Literal(f"note {index}.{position}")))
+                yield Triple(obs, predicate, Literal(f"note {index}.{position}"))
 
 
 def _title(name: str) -> str:

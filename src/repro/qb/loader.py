@@ -62,6 +62,9 @@ def load_table(
     ns = Namespace(namespace)
     graph = graph if graph is not None else Graph()
     members: dict[tuple[str, str], IRI] = {}
+    # The triples go in as one bulk write: a rejected row adds none.
+    pending: list[Triple] = []
+    emit = pending.append
 
     def member_for(column: str, value: str) -> IRI:
         key = (column, value)
@@ -70,15 +73,15 @@ def load_table(
             return existing
         iri = ns.term(f"member/{column}/{len([k for k in members if k[0] == column])}")
         members[key] = iri
-        graph.add(Triple(iri, LABEL, Literal(value)))
+        emit(Triple(iri, LABEL, Literal(value)))
         return iri
 
     for column in list(dimensions) + sorted(hierarchy_columns):
         predicate = ns.term(f"prop/{column}")
-        graph.add(Triple(predicate, LABEL, Literal(column.replace("_", " ").title())))
+        emit(Triple(predicate, LABEL, Literal(column.replace("_", " ").title())))
     for column in measures:
         predicate = ns.term(f"measure/{column}")
-        graph.add(Triple(predicate, LABEL, Literal(column.replace("_", " ").title())))
+        emit(Triple(predicate, LABEL, Literal(column.replace("_", " ").title())))
 
     count = 0
     for index, row in enumerate(rows):
@@ -89,7 +92,7 @@ def load_table(
             if not value:
                 raise SchemaError(f"row {index}: missing dimension cell {column!r}")
             member = member_for(column, value)
-            graph.add(Triple(obs, ns.term(f"prop/{column}"), member))
+            emit(Triple(obs, ns.term(f"prop/{column}"), member))
             if parent_column:
                 parent_value = (row.get(parent_column) or "").strip()
                 if not parent_value:
@@ -97,21 +100,21 @@ def load_table(
                         f"row {index}: missing hierarchy cell {parent_column!r}"
                     )
                 parent = member_for(parent_column, parent_value)
-                graph.add(Triple(member, ns.term(f"prop/{parent_column}"), parent))
+                emit(Triple(member, ns.term(f"prop/{parent_column}"), parent))
         for column in measures:
             cell = (row.get(column) or "").strip()
             if not cell:
                 continue
-            graph.add(Triple(obs, ns.term(f"measure/{column}"), _numeric_literal(cell, index, column)))
+            emit(Triple(obs, ns.term(f"measure/{column}"), _numeric_literal(cell, index, column)))
             emitted_measure = True
         if emitted_measure:
-            graph.add(Triple(obs, TYPE, OBSERVATION_CLASS))
+            emit(Triple(obs, TYPE, OBSERVATION_CLASS))
             count += 1
         else:
             raise SchemaError(f"row {index}: no measure value in any of {list(measures)}")
+    graph.add_all(pending)
     if count == 0:
         raise SchemaError("the table contained no rows")
-    graph.triple_index.settle()
     return graph
 
 

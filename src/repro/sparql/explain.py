@@ -87,8 +87,6 @@ def _pipeline_lines(graph, pipeline, indent: str = "") -> list[str]:
 #: What runs when no scan drives the batches, by ``analyze_plan``'s reason.
 _NO_DRIVER = {
     "empty": "a constant is absent from the graph, nothing runs",
-    "buffered writes": "buffered writes: one seed row, and scans and "
-                       "probes take the per-row fallback",
     "no driving scan": "no driving scan: every operator runs batched "
                        "from one seed row",
 }

@@ -27,18 +27,22 @@ Execution model:
   EXISTS collapse the inner pipeline's source map to a per-row flag; MINUS folds the
   memoized right side into a removal mask; subqueries join their
   encoded result rows with the VALUES compatibility loop.
-* **Fast paths and fallback** — vectorized probes slice the sorted runs
-  through cached composite keys (:meth:`Run.key12` + ``searchsorted``)
-  or first-key offsets (a variable predicate) and are only sound when
-  the run is the complete truth (:meth:`TripleIndex.pure_run`); with
-  buffered deltas/tombstones or a mixed-boundness column, the affected
-  operator falls back to the tuple engine *per batch* (rows are
-  round-tripped through the operator's own ``run``, and counted as
-  ``fallback_batch_rows``), so every shape the tuple engine supports
-  runs batched with identical semantics.  Property paths run their
-  id-space closure once per distinct input pair.
+* **Fast paths and fallback** — vectorized probes slice every sorted
+  run of a permutation (:meth:`TripleIndex.levels`: the main run, then
+  level 0, the small run writes land in) through cached composite keys
+  (:meth:`Run.pair_ranges`) or first-key ranges (a variable predicate),
+  drop the main run's dead rows with one ``searchsorted`` mask, and
+  stable-merge the two runs' matches by input row — per input row, main
+  matches then level-0 matches, the order of the tuple engine's scans.
+  A mixed-boundness column, a predicate bound per row, a multi-column
+  filter program or an oversized fan-out falls back to the tuple engine
+  *per batch* (rows are round-tripped through the operator's own
+  ``run``, and counted as ``fallback_batch_rows``), so every shape the
+  tuple engine supports runs batched with identical semantics.
+  Property paths run their id-space closure once per distinct input
+  pair.
 * **Driving scan** — when the first scheduled operator is an
-  ``IndexScan`` over a pure run, its row range is sliced into
+  ``IndexScan`` of a run range, the range of each run is sliced into
   batch-size batches, zero-copy, in run order; otherwise execution
   starts from a single seed row.
 * **Deadline** — checked per operator per batch with a direct
@@ -57,7 +61,7 @@ import numpy as _np
 
 from ..errors import QueryTimeoutError
 from ..rdf.terms import BNode, Literal, Variable
-from ..store.index import MALFORMED, NOT_NUMERIC, numeric_of
+from ..store.index import MALFORMED, NOT_NUMERIC, in_sorted, numeric_of
 from .ast import BoolOp, Comparison, FunctionCall, NotExpr, TermExpr
 from .expressions import ExpressionError, effective_boolean_value
 from .operators import (
@@ -351,64 +355,30 @@ def _run_step(op: _StepOp, batch: Batch, vctx: _VecCtx):
         if batch.state(ps) != "none":
             return _per_row(op, batch, vctx)  # per-row predicate: rare shape
         return _run_open_predicate(op, s_kind, o_kind, batch, vctx)
-    pure = vctx.index.pure_run
-    m = len(vctx.plan.dictionary)
+    index = vctx.index
     n = batch.n
-
-    if s_kind[0] != "w" and o_kind[0] == "w":
-        # <s>/?s(bound) <p> ?o — probe the SPO run, bind the object.
-        run = pure(0)
-        if run is None:
-            return _per_row(op, batch, vctx)
-        try:
-            parent, pos = _probe_positions(run, m, _values(s_kind, batch), pc, n)
-        except _ExpansionLimit:
-            return _per_row(op, batch, vctx)
-        if parent is None:
-            return _empty(batch.width), _np.empty(0, _np.int64)
-        c_np = run.as_numpy()[2]
-        out = _expand(batch, parent, {o_kind[1]: c_np[pos]})
-        return _apply_eqs(out, parent, op.eqs)
-
-    if s_kind[0] == "w" and o_kind[0] != "w":
-        # ?s <p> <o>/?o(bound) — probe the POS run, bind the subject.
-        run = pure(1)
-        if run is None:
-            return _per_row(op, batch, vctx)
-        try:
-            parent, pos = _probe_positions(run, m, pc, _values(o_kind, batch), n)
-        except _ExpansionLimit:
-            return _per_row(op, batch, vctx)
-        if parent is None:
-            return _empty(batch.width), _np.empty(0, _np.int64)
-        c_np = run.as_numpy()[2]
-        out = _expand(batch, parent, {s_kind[1]: c_np[pos]})
-        return _apply_eqs(out, parent, op.eqs)
-
-    if s_kind[0] != "w" and o_kind[0] != "w":
-        # Fully bound: a pure per-row containment selection.
-        run = pure(0)
-        if run is None:
-            return _per_row(op, batch, vctx)
-        mask = _contains_mask(run, m, _values(s_kind, batch),
-                              _values(o_kind, batch), pc, n)
-        idx = _np.nonzero(mask)[0]
+    s_free, o_free = s_kind[0] == "w", o_kind[0] == "w"
+    if not s_free and not o_free:
+        # Fully bound: a per-row containment selection.
+        idx = _np.nonzero(_contains_mask(index, _values(s_kind, batch), pc,
+                                         _values(o_kind, batch), n))[0]
         return _apply_eqs(_take(batch, idx), idx, op.eqs)
-
-    # ?s <p> ?o with both ends free — the scan shape: cross every input
-    # row with the predicate's contiguous POS range.
-    run = pure(1)
-    if run is None:
-        return _per_row(op, batch, vctx)
-    try:
-        parent, pos = _first_key_positions(run, pc, n)
-    except _ExpansionLimit:
-        return _per_row(op, batch, vctx)
-    if parent is None:
-        return _empty(batch.width), _np.empty(0, _np.int64)
-    _a, b_np, c_np, _st = run.as_numpy()
-    out = _expand(batch, parent, {ss: c_np[pos], os_: b_np[pos]})
-    return _apply_eqs(out, parent, op.eqs)
+    if not s_free:
+        # <s>/?s(bound) <p> ?o — probe the SPO runs, bind the object.
+        s_vals = _values(s_kind, batch)
+        which, bind = 0, {o_kind[1]: 2}
+        ranges = lambda run: _pair_ranges(run, s_vals, pc)  # noqa: E731
+    elif not o_free:
+        # ?s <p> <o>/?o(bound) — probe the POS runs, bind the subject.
+        o_vals = _values(o_kind, batch)
+        which, bind = 1, {s_kind[1]: 2}
+        ranges = lambda run: _pair_ranges(run, pc, o_vals)  # noqa: E731
+    else:
+        # ?s <p> ?o with both ends free — the scan shape: cross every
+        # input row with the predicate's contiguous POS ranges.
+        which, bind = 1, {ss: 2, os_: 1}
+        ranges = lambda run: run.range1(pc)  # noqa: E731
+    return _bind_matches(op, batch, vctx, which, ranges, bind)
 
 
 def _run_open_predicate(op: _StepOp, s_kind, o_kind, batch: Batch,
@@ -422,35 +392,65 @@ def _run_open_predicate(op: _StepOp, s_kind, o_kind, batch: Batch,
     full scan) takes the per-row fallback.
     """
     _sc, ss, _pc, ps, _oc, os_ = op.step
-    pure = vctx.index.pure_run
-    n = batch.n
     if s_kind[0] != "w" and o_kind[0] == "w":
+        s_vals = _values(s_kind, batch)
         which, bind = 0, {ps: 1, os_: 2}  # SPO: a=s, b=p, c=o
+        ranges = lambda run: _first_ranges(run, s_vals)  # noqa: E731
     elif s_kind[0] == "w" and o_kind[0] != "w":
+        o_vals = _values(o_kind, batch)
         which, bind = 2, {ss: 1, ps: 2}  # OSP: a=o, b=s, c=p
+        ranges = lambda run: _first_ranges(run, o_vals)  # noqa: E731
     elif s_kind[0] != "w":
+        s_vals, o_vals = _values(s_kind, batch), _values(o_kind, batch)
         which, bind = 2, {ps: 2}
+        ranges = lambda run: _pair_ranges(run, o_vals, s_vals)  # noqa: E731
     else:
         return _per_row(op, batch, vctx)
-    run = pure(which)
-    if run is None:
-        return _per_row(op, batch, vctx)
+    return _bind_matches(op, batch, vctx, which, ranges, bind)
+
+
+def _bind_matches(op: _StepOp, batch: Batch, vctx: _VecCtx, which, ranges,
+                  bind):
+    """Expand the batch by the matches of permutation ``which`` (the
+    run ranges ``ranges(run)`` gives per row), binding each slot in
+    ``bind`` to a run column (0=a, 1=b, 2=c)."""
     try:
-        if len(bind) == 2:
-            first = s_kind if which == 0 else o_kind
-            parent, pos = _first_key_positions(run, _values(first, batch), n)
-        else:
-            parent, pos = _probe_positions(
-                run, len(vctx.plan.dictionary), _values(o_kind, batch),
-                _values(s_kind, batch), n)
+        parent, cols = _matches(vctx.index, which, ranges, tuple(bind.values()),
+                                batch.n)
     except _ExpansionLimit:
         return _per_row(op, batch, vctx)
     if parent is None:
         return _empty(batch.width), _np.empty(0, _np.int64)
-    cols = run.as_numpy()
-    out = _expand(batch, parent, {slot: cols[col][pos]
-                                  for slot, col in bind.items()})
+    out = _expand(batch, parent, dict(zip(bind, cols)))
     return _apply_eqs(out, parent, op.eqs)
+
+
+def _matches(index, which, ranges, columns, n):
+    """Every live match of permutation ``which``: ``(parent, values)``,
+    ``parent`` the input row each match extends and ``values`` the run
+    ``columns`` gathered at the matches, per input row main-run matches
+    first, then level-0 matches.  ``(None, None)`` when nothing matches.
+
+    ``ranges(run)`` is the row range ``[lo, hi)`` of one run — scalars
+    shared by every input row, or one per row; dead main-run rows drop
+    out with one :func:`in_sorted` mask.
+    """
+    parents, values = [], []
+    for run, dead in index.levels(which):
+        parent, pos = _ranges_to_positions(*ranges(run), n)
+        if parent is None:
+            continue
+        if dead is not None:
+            live = ~in_sorted(dead, pos)
+            parent, pos = parent[live], pos[live]
+        arrays = run.as_numpy()
+        parents.append(parent)
+        values.append([arrays[col][pos] for col in columns])
+    if len(parents) < 2:
+        return (parents[0], values[0]) if parents else (None, None)
+    parent = _np.concatenate(parents)
+    order = _np.argsort(parent, kind="stable")
+    return parent[order], [_np.concatenate(col)[order] for col in zip(*values)]
 
 
 def _ranges_to_positions(lo, hi, n):
@@ -489,97 +489,43 @@ def _ranges_to_positions(lo, hi, n):
     return parent, pos
 
 
-def _first_key_positions(run, a_vals, n):
-    """Per-row ranges of one leading key (:meth:`Run.range1`), expanded
-    by :func:`_ranges_to_positions`; ``a_vals`` is a scalar or a column.
-    Keys outside the offset array — pseudo ids included — match nothing."""
+def _first_ranges(run, a_vals):
+    """Per-row ranges of one leading key (:meth:`Run.range1`), a scalar
+    or a column.  Keys outside the run — pseudo ids included — match
+    nothing."""
     if not hasattr(a_vals, "__len__"):
-        lo, hi = run.range1(a_vals)
-        return _ranges_to_positions(lo, hi, n)
-    starts = run.as_numpy()[3]
+        return run.range1(a_vals)
+    a, _b, _c, starts = run.as_numpy()
+    if starts is None:  # a level-0 run: bisect its first column
+        return (_np.searchsorted(a, a_vals, side="left"),
+                _np.searchsorted(a, a_vals, side="right"))
     valid = (a_vals >= 0) & (a_vals < len(starts) - 1)
-    if not bool(valid.any()):
-        return None, None
     idx = _np.where(valid, a_vals, 0)
     lo = starts[idx]
-    hi = _np.where(valid, starts[idx + 1], lo)
-    return _ranges_to_positions(lo, hi, n)
+    return lo, _np.where(valid, starts[idx + 1], lo)
 
 
-def _probe_positions(run, m, a_vals, b_vals, n):
-    """Per-row run ranges for two bound leading keys, ragged-expanded by
-    :func:`_ranges_to_positions`.
-
-    Either key may be a scalar constant or a per-row column;
-    broadcasting covers both probe orientations.
-
-    Negative key components are plan-local pseudo ids — terms the store
-    has never seen, which match nothing — and they must be neutralized
-    *before* forming the composite ``a * m + b``: a negative second
-    component aliases the key of the previous first-key group
-    (``a*m - k == (a-1)*m + (m-k)``), which would emit false joins.
-    Rows holding one are probed with ``-1``, below every real key, so
-    they miss.  (A negative *first* component already yields a negative
-    composite and misses on its own, but masking both is cheapest.)
-    """
-    keys = run.key12(m)
-    scalar_a = not hasattr(a_vals, "__len__")
-    scalar_b = not hasattr(b_vals, "__len__")
-    if (scalar_a and a_vals < 0) or (scalar_b and b_vals < 0):
-        return None, None  # constant pseudo id: no stored triple matches
-    if scalar_a and scalar_b:
-        lo = int(_np.searchsorted(keys, a_vals * m + b_vals, side="left"))
-        hi = int(_np.searchsorted(keys, a_vals * m + b_vals, side="right"))
-        return _ranges_to_positions(lo, hi, n)
-    query = a_vals * m + b_vals
-    invalid = None
-    if not scalar_a:
-        invalid = a_vals < 0
-    if not scalar_b:
-        neg_b = b_vals < 0
-        invalid = neg_b if invalid is None else (invalid | neg_b)
-    if invalid is not None and bool(invalid.any()):
-        query = _np.where(invalid, _np.int64(-1), query)
-    lo = _np.searchsorted(keys, query, side="left")
-    hi = _np.searchsorted(keys, query, side="right")
-    return _ranges_to_positions(lo, hi, n)
+def _pair_ranges(run, a_vals, b_vals):
+    """Run ranges for two leading keys, each a scalar constant or a
+    per-row column (:meth:`Run.pair_ranges`; two constants bisect)."""
+    if not hasattr(a_vals, "__len__") and not hasattr(b_vals, "__len__"):
+        return run.range2(a_vals, b_vals)
+    return run.pair_ranges(a_vals, b_vals)
 
 
-def _contains_mask(run, m, s_vals, o_vals, pc, n):
-    """Vectorized triple-containment test over the SPO run.
-
-    Rows whose ``(s, p)`` range holds at most one object — the dominant
-    star-schema case — resolve in pure array ops; wider ranges fall back
-    to a bounded bisect per row.
-    """
-    from bisect import bisect_left
-
-    if pc < 0:
-        # Pseudo-id predicate (term the store never saw): nothing matches,
-        # and the composite below would alias the previous subject group.
-        return _np.zeros(n, dtype=bool)
-    keys = run.key12(m)
-    if not hasattr(s_vals, "__len__"):
-        s_vals = _np.full(n, s_vals, dtype=_np.int64)
-    if not hasattr(o_vals, "__len__"):
-        o_vals = _np.full(n, o_vals, dtype=_np.int64)
-    query = s_vals * m + pc
-    lo = _np.searchsorted(keys, query, side="left")
-    hi = _np.searchsorted(keys, query, side="right")
-    counts = hi - lo
-    c_np = run.as_numpy()[2]
+def _contains_mask(index, s_vals, pc, o_vals, n):
+    """Vectorized triple-containment test: a row is kept when its
+    ``(s, pc, o)`` is a live row of some SPO run."""
     mask = _np.zeros(n, dtype=bool)
-    single = counts == 1
-    if single.any():
-        mask[single] = c_np[lo[single]] == o_vals[single]
-    wide = _np.nonzero(counts > 1)[0]
-    if len(wide):
-        c_col = run.c
-        for i in wide.tolist():
-            row_lo, row_hi = int(lo[i]), int(hi[i])
-            target = int(o_vals[i])
-            j = bisect_left(c_col, target, row_lo, row_hi)
-            mask[i] = j < row_hi and c_col[j] == target
+    if pc < 0:
+        return mask  # pseudo-id predicate: a term the store never saw
+    s_vals = _np.broadcast_to(s_vals, (n,))
+    for run, dead in index.levels(0):
+        found = run.find_rows(s_vals, pc, o_vals)
+        hit = found >= 0
+        if dead is not None:
+            hit &= ~in_sorted(dead, found)
+        mask |= hit
     return mask
 
 
@@ -1134,69 +1080,62 @@ def _fold(ops, batch: Batch, vctx: _VecCtx):
 
 
 class _Driver:
-    """A driving scan: a contiguous pure-run row range plus the columns
-    it binds (``bind`` maps register slot → run column ``"b"`` or
-    ``"c"``)."""
+    """A driving scan: the contiguous row range of each run it reads —
+    ``(run, dead positions or None, lo, hi)`` — plus the columns it binds
+    (``bind`` maps register slot → run column ``"b"`` or ``"c"``)."""
 
-    __slots__ = ("op", "run", "lo", "hi", "bind")
+    __slots__ = ("op", "ranges", "bind")
 
-    def __init__(self, op, run, lo, hi, bind):
+    def __init__(self, op, ranges, bind):
         self.op = op
-        self.run = run
-        self.lo = lo
-        self.hi = hi
+        self.ranges = ranges
         self.bind = bind
 
 
 def _find_driver(plan, ops):
     """Recognize a driving scan in the first scheduled operator.
 
-    Three shapes map to a contiguous run range: ``?s <p> ?o`` (POS
+    Three shapes map to one contiguous range per run: ``?s <p> ?o`` (POS
     range1), ``?s <p> <o>`` (POS range2) and ``<s> <p> ?o`` (SPO
-    range2).  Without one the plan starts from a single seed row, in
-    one of two cases.  With buffered deltas or tombstones no run is pure,
-    so scans and probes take the per-row fallback.  Over pure runs whose
-    first operator is something else (a VALUES, a BIND, another scan
-    shape), every operator still runs batched from that seed row."""
+    range2).  Without one (a VALUES, a BIND or another scan shape comes
+    first) the plan starts from a single seed row, and every operator
+    still runs batched from it."""
     if not ops or not isinstance(ops[0], IndexScan):
         return None
     sc, ss, pc, ps, oc, os_ = ops[0].step
     if pc is None or ps is not None:
         return None
-    pure = plan.index.pure_run
-    if sc is None and ss is not None:
-        run = pure(1)  # POS: a=p, b=o, c=s
-        if run is None:
-            return None
-        if oc is None and os_ is not None:
-            lo, hi = run.range1(pc)
-            return _Driver(ops[0], run, lo, hi, ((ss, "c"), (os_, "b")))
-        if oc is not None and os_ is None:
-            lo, hi = run.range2(pc, oc)
-            return _Driver(ops[0], run, lo, hi, ((ss, "c"),))
+    if sc is None and ss is not None and os_ is not None and oc is None:
+        which, key, bind = 1, (pc,), ((ss, "c"), (os_, "b"))  # POS: a=p, b=o, c=s
+    elif sc is None and ss is not None and oc is not None and os_ is None:
+        which, key, bind = 1, (pc, oc), ((ss, "c"),)
+    elif sc is not None and ss is None and oc is None and os_ is not None:
+        which, key, bind = 0, (sc, pc), ((os_, "c"),)  # SPO: a=s, b=p, c=o
+    else:
         return None
-    if sc is not None and ss is None and oc is None and os_ is not None:
-        run = pure(0)  # SPO: a=s, b=p, c=o
-        if run is None:
-            return None
-        lo, hi = run.range2(sc, pc)
-        return _Driver(ops[0], run, lo, hi, ((os_, "c"),))
-    return None
+    ranges = []
+    for run, dead in plan.index.levels(which):
+        lo, hi = run.range1(*key) if len(key) == 1 else run.range2(*key)
+        if lo < hi:
+            ranges.append((run, dead, lo, hi))
+    return _Driver(ops[0], ranges, bind)
 
 
-def _driver_batch(driver: _Driver, lo, hi, width, eqs):
-    """One slice of the driving scan, as zero-copy column slices."""
+def _driver_batch(driver: _Driver, part, width, eqs):
+    """One slice of the driving scan: zero-copy column slices of one
+    run, less its dead rows and the rows failing ``eqs``."""
+    run, dead, lo, hi = part
     n = hi - lo
     cols: list = [None] * width
-    _a, b_np, c_np, _st = driver.run.as_numpy()
+    _a, b_np, c_np, _st = run.as_numpy()
     by_slot = {
         slot: (c_np if which == "c" else b_np)[lo:hi]
         for slot, which in driver.bind
     }
-    mask = None
+    mask = None if dead is None else ~in_sorted(dead, _np.arange(lo, hi))
     for a, b in eqs:
-        part = by_slot[a] == by_slot[b]
-        mask = part if mask is None else (mask & part)
+        same = by_slot[a] == by_slot[b]
+        mask = same if mask is None else (mask & same)
     if mask is not None:
         idx = _np.nonzero(mask)[0]
         by_slot = {slot: col[idx] for slot, col in by_slot.items()}
@@ -1212,8 +1151,9 @@ def _seed_batch(plan) -> Batch:
 
 def _scan_ranges(driver: _Driver, batch_size: int):
     return [
-        (start, min(start + batch_size, driver.hi))
-        for start in range(driver.lo, driver.hi, batch_size)
+        (run, dead, start, min(start + batch_size, hi))
+        for run, dead, lo, hi in driver.ranges
+        for start in range(lo, hi, batch_size)
     ]
 
 
@@ -1242,9 +1182,9 @@ def collect_batches(plan, deadline, config: VecConfig | None = None,
     eqs = driver.op.eqs
     width = plan.num_registers
     batches = []
-    for lo, hi in _scan_ranges(driver, config.batch_size):
+    for part in _scan_ranges(driver, config.batch_size):
         vctx.check()
-        out, _src = _fold(rest, _driver_batch(driver, lo, hi, width, eqs), vctx)
+        out, _src = _fold(rest, _driver_batch(driver, part, width, eqs), vctx)
         if out.n:
             batches.append(out)
     return batches
@@ -1329,8 +1269,8 @@ def analyze_plan(plan, batch_size: int | None = None) -> dict:
     Returns the batch size, the driving scan (pattern string, or None)
     and how many batches it splits into.  Without a driving scan,
     ``no_driver`` says why: ``"empty"`` (a constant is absent, nothing
-    runs), ``"buffered writes"`` or ``"no driving scan"`` (see
-    :func:`_find_driver`).  Purely static: nothing is executed.
+    runs) or ``"no driving scan"`` (see :func:`_find_driver`).  Purely
+    static: nothing is executed.
     """
     config = VecConfig(batch_size=batch_size)
     info = {"batch_size": config.batch_size, "driver": None, "batches": 0,
@@ -1339,8 +1279,7 @@ def analyze_plan(plan, batch_size: int | None = None) -> dict:
         return info
     driver = _find_driver(plan, plan.root.ops)
     if driver is None:
-        info["no_driver"] = ("buffered writes" if plan.index.pure_run(0) is None
-                             else "no driving scan")
+        info["no_driver"] = "no driving scan"
         return info
     info["no_driver"] = None
     info["driver"] = driver.op.pattern.to_sparql()

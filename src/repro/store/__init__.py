@@ -9,7 +9,6 @@ from .durable import DurableGraph, RecoveryReport
 from .endpoint import DEFAULT_TIMEOUT, Endpoint, EndpointStats
 from .graph import Graph
 from .index import (
-    DictTripleIndex,
     PredicateStats,
     TermDictionary,
     TripleIndex,
@@ -35,7 +34,6 @@ __all__ = [
     "tokenize",
     "TermDictionary",
     "TripleIndex",
-    "DictTripleIndex",
     "PredicateStats",
     "save_snapshot",
     "load_snapshot",

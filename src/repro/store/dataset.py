@@ -204,10 +204,14 @@ class Dataset:
         from ..rdf.nquads import parse_nquads
 
         dataset = cls()
+        batches: dict[IRI | None, list[Triple]] = {}
         for item in parse_nquads(source):
-            dataset.add(item)
-        for graph in (dataset._default, *dataset._named.values()):
-            graph.triple_index.settle()
+            if isinstance(item, Quad):
+                batches.setdefault(item.graph, []).append(item.triple())
+            else:
+                batches.setdefault(None, []).append(item)
+        for name, triples in batches.items():
+            dataset.graph(name).add_all(triples)
         return dataset
 
     def to_nquads(self, out=None) -> str | None:

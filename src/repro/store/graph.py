@@ -131,10 +131,14 @@ class Graph:
         """Insert many triples; returns the number actually added.
 
         The terms are encoded into three id columns and inserted in one
-        :meth:`TripleIndex.add_batch`: a load that is large next to the
-        graph merges straight into sorted runs.  If ``triples`` raises,
-        the triples before the failing one are still added.
+        :meth:`TripleIndex.add_batch`: one sorted merge, into level 0 or,
+        for a load that is large next to the graph, into the main runs.
+        If ``triples`` raises, the triples before the failing one are
+        still added.  A subclass that overrides :meth:`add` alone sees
+        every triple of a bulk write through it.
         """
+        if type(self).add is not Graph.add:
+            return sum(1 for triple in triples if self.add(triple))
         columns = (array("q"), array("q"), array("q"))
         try:
             self._encode_all(triples, columns)
@@ -280,8 +284,8 @@ class Graph:
     ) -> "Graph":
         """Open a snapshot as a graph backed by the mmap'd file.
 
-        The returned graph is writable (new triples land in the delta
-        buffer; the mapped runs are never modified) unless
+        The returned graph is writable (new triples land in level 0;
+        the mapped runs are never modified) unless
         ``readonly=True``, which gives an epoch-pinned
         :class:`~repro.store.snapshot.SnapshotView` shareable across
         threads and processes.

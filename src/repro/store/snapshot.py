@@ -209,7 +209,7 @@ class SnapshotTermDictionary(NumericMemo):
 
 
 def _graph_runs(graph: Graph) -> tuple[tuple[Run, Run, Run], list[tuple[int, int, int, int]]]:
-    """The three sorted runs + catalog rows, after flushing the delta."""
+    """The three sorted runs + catalog rows, after folding level 0."""
     index = graph.triple_index
     index.flush()
     return index.runs, list(index.predicate_stat_rows())
@@ -227,7 +227,7 @@ def _column_bytes(view) -> bytes:
 def save_snapshot(graph: Graph, path: str, *, opener: Callable = open) -> int:
     """Write ``graph`` to ``path`` atomically; returns the size in bytes.
 
-    The graph's delta buffer is flushed first, so the file holds exactly
+    The graph's level 0 and tombstones are folded first, so the file holds exactly
     the three sorted runs.
 
     Crash safety: the bytes go to ``path + ".tmp"`` first, are fsynced,

@@ -4,7 +4,7 @@
 into id columns, and ``Graph.add_all`` merges a large batch into sorted
 runs in one step.  The oracle here is what both did before: parse each
 line term by term with :func:`parse_term`, then ``Graph.add`` one
-:class:`Triple` at a time and settle.  The two must build the same
+:class:`Triple` at a time.  The two must build the same
 dictionary, runs, catalog (in row order), epoch and snapshot bytes, and
 fail on the same line with the same message.
 
@@ -105,10 +105,8 @@ def oracle_triples(document: str) -> list[Triple]:
 
 
 def oracle_add_all(graph: Graph, triples) -> int:
-    """``add_all`` as it was: one ``Graph.add`` per triple, then settle."""
-    added = sum(1 for triple in triples if Graph.add(graph, triple))
-    graph.triple_index.settle()
-    return added
+    """``add_all`` as it was: one ``Graph.add`` per triple."""
+    return sum(1 for triple in triples if Graph.add(graph, triple))
 
 
 def outcome(call):
@@ -177,7 +175,7 @@ class TestBulkLoadMatchesPerTriple:
             for triple in removed:
                 graph.remove(triple)  # tombstones
             for triple in extra:
-                graph.add(triple)  # delta rows
+                graph.add(triple)  # level-0 rows
             return graph
 
         bulk, oracle = build(), build()
@@ -237,7 +235,7 @@ class TestTextIndexFromIdRows:
         graph = Graph(triples=first)
         for triple in first[::4]:
             graph.remove(triple)  # tombstones
-        graph.add_all(second[:3])  # leaves a delta on a large enough run
+        graph.add_all(second[:3])  # stays in level 0 on a large enough run
 
         def check(source) -> None:
             built = text_index_state(TextIndex.from_graph(source))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.rdf import IRI, Literal, Quad, Triple, literal_from_python
+from repro.sparql import Evaluator
 from repro.store import Dataset, Endpoint, Graph, GraphView, TermDictionary, TripleIndex
 
 EX = "http://example.org/"
@@ -188,15 +189,25 @@ class TestDataset:
 
 
 class TestBulkWritesSettle:
-    """Every bulk builder leaves sorted runs, not a delta buffer
-    (``TripleIndex.settle``), while a small write on a large run stays
-    buffered."""
+    """Every write lands in a sorted run — the main run, or level 0 on a
+    run large enough to keep it — so a read after any write runs batched:
+    no row takes the per-row fallback, and the rows match the tuple
+    engine's."""
 
     TRIPLES = [t(f"s{i}", "p", literal_from_python(i)) for i in range(40)]
 
     @staticmethod
     def settled(graph):
-        return graph.triple_index.pure_run(0) is not None
+        """A scan, an SPO probe and a containment test read ``graph``
+        batched, with no fallback rows and the tuple engine's rows."""
+        p = iri("p").n3()
+        query = (f"SELECT ?s ?o WHERE {{ ?s {p} ?o . ?s {p} ?v . "
+                 f"FILTER(isLiteral(?o)) ?s {p} ?o }}")
+        endpoint = Endpoint(graph)
+        rows = endpoint.select(query)
+        expected = Evaluator(graph, vectorize=False).select(query)
+        return (rows == expected and endpoint.stats.batched_executions == 1
+                and endpoint.stats.fallback_batch_rows == 0)
 
     def test_graph_loaders_settle(self):
         text = Graph(triples=self.TRIPLES).to_ntriples()
@@ -218,37 +229,39 @@ class TestBulkWritesSettle:
         directory = str(tmp_path / "store")
         graph = Graph.open_durable(directory, fsync=False)
         graph.add_all(self.TRIPLES)
+        graph.add(t("x", "p", "y"))
+        graph.remove(self.TRIPLES[0])
+        assert graph.triple_index.pending_mutations == 2
         assert self.settled(graph)
         graph.close()
         reopened = Graph.open_durable(directory, fsync=False)
-        assert reopened.recovery.replayed_records == len(self.TRIPLES)
+        assert reopened.recovery.replayed_records == len(self.TRIPLES) + 2
+        assert len(reopened) == 40
         assert self.settled(reopened)
         reopened.close()
 
     def test_load_past_an_automatic_flush_merges_its_tail(self):
-        # 40 triples with a floor of 9: the last automatic flush leaves a
-        # tail of 4 next to a run of 36, which settle's quarter rule alone
-        # would leave buffered.
+        # One triple at a time: level 0 folds into the main run whenever
+        # it would reach a quarter of it, so it never outgrows one.
         graph = Graph(flush_threshold=9)
-        graph.add_all(self.TRIPLES)
-        assert self.settled(graph)
-        endpoint = Endpoint(graph)
-        rows = endpoint.select(
-            f"SELECT ?s ?o WHERE {{ ?s {iri('p').n3()} ?o . FILTER(isLiteral(?o)) }}")
-        assert len(rows) == 40
-        assert endpoint.stats.fallback_batch_rows == 0
-        # A later small write that flushes nothing stays buffered.
-        graph.add_all([t("x", "p", "y")])
-        assert graph.triple_index.pending_mutations == 1
+        for triple in self.TRIPLES:
+            graph.add(triple)
+            assert graph.triple_index.pending_mutations <= len(graph) // 4
+            assert self.settled(graph)
+        assert graph.triple_index.pending_mutations == 7
 
     def test_small_writes_on_a_large_run_stay_buffered(self):
         graph = Graph(triples=self.TRIPLES)
         graph.add(t("x", "p", "y"))
-        assert not self.settled(graph)
-        # 3 pending < 40 // 4: the bulk write does not merge yet...
-        graph.add_all([t("x", "p", "z"), t("x", "p", "w")])
-        assert graph.triple_index.pending_mutations == 3
-        # ...until the pending set reaches a quarter of the run.
-        graph.add_all([t("y", "p", f"o{i}") for i in range(7)])
+        graph.remove(self.TRIPLES[5])
+        assert graph.triple_index.pending_mutations == 2
         assert self.settled(graph)
-        assert len(graph) == 50
+        # 4 pending < 40 // 4: the bulk write stays in level 0...
+        graph.add_all([t("x", "p", "z"), t("x", "p", "w")])
+        assert graph.triple_index.pending_mutations == 4
+        assert self.settled(graph)
+        # ...until the pending set reaches a quarter of the run.
+        graph.add_all([t("y", "p", f"o{i}") for i in range(6)])
+        assert graph.triple_index.pending_mutations == 0
+        assert self.settled(graph)
+        assert len(graph) == 48

@@ -5,9 +5,9 @@ operator's semantics over integer-array batches, with per-row fallback
 for the shapes it does not vectorize.  These properties pin the whole
 surface to the two reference engines over random cubes:
 
-* random store states: fully flushed runs (the driving scan engages),
-  delta overlays on top of flushed runs (driver declines, per-row
-  fallback engages), and never-flushed buffers;
+* random store states: fully folded runs, writes pending on top of
+  folded runs (level-0 rows and tombstones, read batched alongside the
+  main run), and graphs built one add at a time;
 * adversarial batch geometry: 1-row batches exercise every
   batch-boundary path;
 * the operator zoo: OPTIONAL (with inner filters), UNION, VALUES,
@@ -50,12 +50,12 @@ object_ids = st.integers(min_value=0, max_value=5)
 graph_triples = st.lists(
     st.tuples(subject_ids, predicate_ids, object_ids), min_size=1, max_size=30
 )
-#: Triples added *after* the flush — a live delta overlay over pure runs.
+#: Triples added *after* the load — pending writes over the main runs.
 overlay_triples = st.lists(
     st.tuples(subject_ids, predicate_ids, object_ids), max_size=6
 )
-#: "flushed" → pure runs (driving scan engages); "overlay" → runs plus a
-#: delta buffer (driver declines); "buffered" → nothing flushed at all.
+#: "flushed" → main runs only; "overlay" → main runs plus pending writes
+#: (level 0 and tombstones); "buffered" → one add at a time.
 store_states = st.sampled_from(["flushed", "overlay", "buffered"])
 batch_sizes = st.sampled_from([1, 3, 64])
 
@@ -160,10 +160,10 @@ AGG_QUERIES = [
 def build_graph(encoded, overlay, state):
     """A graph in one of the three store states.
 
-    ``Graph(triples=)`` settles its load into runs, so the overlay is
-    built afterwards with ``add()``/``remove()`` (the removal of a
-    run-resident triple guarantees a tombstone even when every overlay
-    triple is a duplicate), and the buffered store with ``add()`` alone.
+    ``Graph(triples=)`` loads into main runs, so the overlay is built
+    afterwards with ``add()``/``remove()`` (the removal of a run-resident
+    triple guarantees a tombstone even when every overlay triple is a
+    duplicate), and the buffered store with ``add()`` alone.
     """
     def triple(s, p, o):
         return Triple(IRI(f"{EX}n{s}"), IRI(f"{EX}p{p}"), IRI(f"{EX}n{o}"))
@@ -178,13 +178,12 @@ def build_graph(encoded, overlay, state):
             graph.add(t)
     else:
         graph = Graph(triples=triples)
-        assert graph.triple_index.pure_run(0) is not None
+        assert graph.triple_index.pending_mutations == 0
     if state == "overlay":
         for t in overlay:
             graph.add(triple(*t))
         graph.remove(triples[0])
-    if state != "flushed":
-        assert graph.triple_index.pure_run(0) is None
+        assert graph.triple_index.pending_mutations > 0
     return graph
 
 
@@ -447,14 +446,13 @@ class TestTypeTestFilters:
 
 
 class TestBulkLoadStaysBatched:
-    """A graph loaded in bulk is queried from sorted runs: with its load
-    left in the delta buffer, every batched join step would silently run
-    row by row through the tuple fallback."""
+    """A graph loaded in bulk is queried from sorted runs, every join step
+    batched; the rows a remaining fallback shape sends row by row are
+    counted."""
 
     def test_ntriples_cube_disaggregates_without_fallback_rows(self, mini_kg):
         text = mini_kg.graph.to_ntriples()
         graph = Graph.from_ntriples(io.StringIO(text))
-        assert graph.triple_index.pure_run(0) is not None
         endpoint = Endpoint(graph)
         # The bootstrap and every exploration step run batched throughout.
         before = endpoint.stats.snapshot()
@@ -469,10 +467,13 @@ class TestBulkLoadStaysBatched:
         assert after.fallback_batch_rows == before.fallback_batch_rows
 
     def test_fallback_rows_are_counted(self):
-        # A delta overlay sends the join steps through the tuple fallback;
-        # the counter must show it.
-        graph = build_graph([(0, 0, 1), (1, 0, 2)], [(2, 0, 3)], "overlay")
+        # The first OPTIONAL binds ?c in one of two rows, so the second
+        # probes a mixed-boundness column, which runs row by row; the
+        # counter must show it.
+        graph = build_graph([(0, 0, 1), (1, 0, 2), (2, 1, 0)], [], "flushed")
+        query = (f"SELECT ?a ?c ?d WHERE {{ ?a <{EX}p0> ?b . "
+                 f"OPTIONAL {{ ?b <{EX}p1> ?c }} OPTIONAL {{ ?c <{EX}value> ?d }} }}")
         endpoint = Endpoint(graph)
-        endpoint.select(f"SELECT ?a ?b WHERE {{ ?a <{EX}p0> ?b . "
-                        f"?a <{EX}value> ?v }}")
-        assert endpoint.stats.fallback_batch_rows > 0
+        assert endpoint.select(query) == \
+            Evaluator(graph, vectorize=False).select(query)
+        assert endpoint.stats.fallback_batch_rows == 2
