@@ -422,8 +422,8 @@ class TestPathClosureDeadline:
     def _chain_graph(self, length=5000):
         graph = Graph()
         broader = iri("broader")
-        for i in range(length):
-            graph.add(Triple(iri(f"c{i}"), broader, iri(f"c{i + 1}")))
+        graph.add_all(Triple(iri(f"c{i}"), broader, iri(f"c{i + 1}"))
+                      for i in range(length))
         return graph
 
     @pytest.mark.parametrize("compile_flag", [True, False])
@@ -553,9 +553,8 @@ class TestPlanCompilation:
 
     def test_compiled_join_observes_deadline(self):
         graph = Graph()
-        for i in range(60):
-            for j in range(60):
-                graph.add(Triple(iri(f"a{i}"), iri("edge"), iri(f"b{j}")))
+        graph.add_all(Triple(iri(f"a{i}"), iri("edge"), iri(f"b{j}"))
+                      for i in range(60) for j in range(60))
         # Two disconnected patterns: a 3600^2-row cartesian product the
         # deadline must interrupt mid-join.
         query = parse_query(
